@@ -48,7 +48,7 @@ Result<QueryAnalysis> QueryAnalysis::Prepare(
   MESA_ASSIGN_OR_RETURN(
       Discretized o,
       DiscretizeColumn(qa.context_table_, query.outcome, options.discretizer));
-  qa.outcome_ = CodedVariable{std::move(o.codes), o.cardinality};
+  qa.outcome_ = CodedVariable{std::move(o.codes), o.cardinality, {}};
   // The effective exposure is the composite of all grouping attributes;
   // the components are kept for per-component trap tests.
   for (const std::string& name : query.AllExposures()) {
@@ -56,7 +56,7 @@ Result<QueryAnalysis> QueryAnalysis::Prepare(
         Discretized t,
         DiscretizeColumn(qa.context_table_, name, options.discretizer));
     qa.exposure_components_.push_back(
-        CodedVariable{std::move(t.codes), t.cardinality});
+        CodedVariable{std::move(t.codes), t.cardinality, {}});
   }
   {
     std::vector<const CodedVariable*> ptrs;
@@ -84,6 +84,24 @@ Result<QueryAnalysis> QueryAnalysis::Prepare(
   }
   MESA_SPAN("qa_prepare");
   MESA_COUNT_N("qa/candidates_prepared", names.size());
+  const CodedVariable& trivial = qa.CombinedCode({});
+  // The IPW design is a function of the covariate columns alone, so the
+  // first candidate that needs weights builds it for all of them.
+  std::once_flag design_once;
+  IpwDesign design;
+  Status design_status;
+  auto shared_design = [&]() -> Status {
+    std::call_once(design_once, [&] {
+      Result<IpwDesign> built =
+          BuildIpwDesign(qa.context_table_, ipw.covariates);
+      if (built.ok()) {
+        design = std::move(*built);
+      } else {
+        design_status = built.status();
+      }
+    });
+    return design_status;
+  };
   std::vector<Status> statuses(names.size());
   std::vector<PreparedAttribute> prepared(names.size());
   ParallelFor(
@@ -101,21 +119,22 @@ Result<QueryAnalysis> QueryAnalysis::Prepare(
           MESA_ASSIGN_OR_RETURN(
               Discretized d,
               DiscretizeColumn(qa.context_table_, name, options.discretizer));
-          attr.coded = CodedVariable{std::move(d.codes), d.cardinality};
+          attr.coded = CodedVariable{std::move(d.codes), d.cardinality, {}};
 
           if (options.handle_selection_bias && col->null_count() > 0) {
             SelectionBiasOptions bias = options.bias;
             bias.outcome_codes = &qa.outcome_;
             bias.exposure_codes = &qa.exposure_;
+            bias.trivial_codes = &trivial;
             MESA_ASSIGN_OR_RETURN(
                 SelectionBiasReport report,
                 DetectSelectionBias(qa.context_table_, name, query.outcome,
                                     query.exposure, bias));
             attr.selection_biased = report.biased;
             if (report.biased) {
-              MESA_ASSIGN_OR_RETURN(
-                  IpwWeights w,
-                  ComputeIpwWeights(qa.context_table_, name, ipw));
+              MESA_RETURN_IF_ERROR(shared_design());
+              MESA_ASSIGN_OR_RETURN(IpwWeights w,
+                                    ComputeIpwWeights(*col, design, ipw));
               attr.weights = std::move(w.weights);
             }
           }
@@ -134,7 +153,7 @@ Result<QueryAnalysis> QueryAnalysis::Prepare(
 
   // I(O;T|C): context already applied, so condition on the trivial code.
   qa.base_cmi_ = ConditionalMutualInformation(qa.outcome_, qa.exposure_,
-                                              qa.CombinedCode({}), nullptr,
+                                              trivial, nullptr,
                                               options.entropy);
   qa.single_cmi_cache_.assign(qa.attributes_.size(),
                               std::numeric_limits<double>::quiet_NaN());

@@ -25,6 +25,63 @@ const char* PruneReasonName(PruneReason reason) {
   return "?";
 }
 
+namespace {
+
+// Distinct non-null values of a column, with Value equality. Double
+// columns are exempt from the high-entropy rule, so for them only "one
+// or more than one" matters and the count stops at 2.
+size_t CountDistinct(const Column& col) {
+  const size_t n = col.size();
+  const uint8_t* valid = col.validity_data();
+  switch (col.type()) {
+    case DataType::kDouble: {
+      const double* xs = col.double_data();
+      size_t r = 0;
+      while (r < n && !valid[r]) ++r;
+      if (r == n) return 0;
+      const double first = xs[r];
+      for (++r; r < n; ++r) {
+        if (valid[r] && !(xs[r] == first)) return 2;
+      }
+      return 1;
+    }
+    case DataType::kInt64: {
+      const int64_t* xs = col.int_data();
+      std::unordered_set<int64_t> seen;
+      for (size_t r = 0; r < n; ++r) {
+        if (valid[r]) seen.insert(xs[r]);
+      }
+      return seen.size();
+    }
+    case DataType::kString: {
+      // Dictionary entries are distinct: count the codes in use.
+      const uint32_t* codes = col.string_codes();
+      std::vector<uint8_t> used(col.dictionary().size(), 0);
+      size_t count = 0;
+      for (size_t r = 0; r < n; ++r) {
+        if (valid[r] && !used[codes[r]]) {
+          used[codes[r]] = 1;
+          ++count;
+        }
+      }
+      return count;
+    }
+    case DataType::kBool: {
+      const uint8_t* bits = col.bool_data();
+      bool seen[2] = {false, false};
+      for (size_t r = 0; r < n; ++r) {
+        if (valid[r]) seen[bits[r] != 0] = true;
+      }
+      return static_cast<size_t>(seen[0]) + static_cast<size_t>(seen[1]);
+    }
+    case DataType::kNull:
+      break;
+  }
+  return 0;
+}
+
+}  // namespace
+
 Result<PruneResult> OfflinePrune(const Table& table,
                                  const std::vector<std::string>& attributes,
                                  const OfflinePruneOptions& options) {
@@ -32,20 +89,15 @@ Result<PruneResult> OfflinePrune(const Table& table,
   PruneResult result;
   for (const std::string& name : attributes) {
     MESA_ASSIGN_OR_RETURN(const Column* col, table.ColumnByName(name));
-    const size_t n = col->size();
-    const size_t present = n - col->null_count();
+    const size_t present = col->size() - col->null_count();
 
     if (col->null_fraction() > options.max_missing_fraction) {
       result.pruned.push_back({name, PruneReason::kTooManyMissing});
       continue;
     }
 
-    // Count distinct non-null values (hash of Value).
-    std::unordered_set<Value, ValueHash> distinct;
-    for (size_t r = 0; r < n; ++r) {
-      if (col->IsValid(r)) distinct.insert(col->GetValue(r));
-    }
-    if (distinct.size() <= 1) {
+    const size_t distinct = CountDistinct(*col);
+    if (distinct <= 1) {
       result.pruned.push_back({name, PruneReason::kConstant});
       continue;
     }
@@ -54,9 +106,9 @@ Result<PruneResult> OfflinePrune(const Table& table,
     // measurements (double) are naturally unique per entity and exempt;
     // they get binned downstream.
     bool identifier_like = col->type() != DataType::kDouble;
-    if (identifier_like &&
-        distinct.size() >= options.high_entropy_min_distinct && present > 0 &&
-        static_cast<double>(distinct.size()) >
+    if (identifier_like && distinct >= options.high_entropy_min_distinct &&
+        present > 0 &&
+        static_cast<double>(distinct) >
             options.max_distinct_fraction * static_cast<double>(present)) {
       result.pruned.push_back({name, PruneReason::kHighEntropy});
       continue;

@@ -67,7 +67,7 @@ Result<std::vector<UnexplainedSubgroup>> FindUnexplainedSubgroups(
   MESA_ASSIGN_OR_RETURN(Discretized o,
                         DiscretizeColumn(ctx, query.outcome,
                                          options.discretizer));
-  CodedVariable oc{std::move(o.codes), o.cardinality};
+  CodedVariable oc{std::move(o.codes), o.cardinality, {}};
   CodedVariable tc;
   {
     std::vector<CodedVariable> exposure_parts;
@@ -75,7 +75,7 @@ Result<std::vector<UnexplainedSubgroup>> FindUnexplainedSubgroups(
       MESA_ASSIGN_OR_RETURN(
           Discretized t, DiscretizeColumn(ctx, name, options.discretizer));
       exposure_parts.push_back(CodedVariable{std::move(t.codes),
-                                             t.cardinality});
+                                             t.cardinality, {}});
     }
     std::vector<const CodedVariable*> ptrs;
     for (const auto& p : exposure_parts) ptrs.push_back(&p);
@@ -89,7 +89,7 @@ Result<std::vector<UnexplainedSubgroup>> FindUnexplainedSubgroups(
     MESA_ASSIGN_OR_RETURN(Discretized d,
                           DiscretizeColumn(ctx, name, options.discretizer));
     explanation_codes.push_back(CodedVariable{std::move(d.codes),
-                                              d.cardinality});
+                                              d.cardinality, {}});
   }
   for (const auto& c : explanation_codes) parts.push_back(&c);
   CodedVariable z = CombineAll(parts, n);

@@ -67,7 +67,7 @@ Result<T> ResilientKgClient::Call(uint64_t call_key, const Attempt& attempt) {
     std::lock_guard<std::mutex> lock(cache_mu_);
     cache_.emplace(call_key, payload);  // copy: the original is returned
   }
-  return std::move(payload);
+  return payload;
 }
 
 namespace {

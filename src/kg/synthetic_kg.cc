@@ -49,7 +49,9 @@ void SyntheticKgBuilder::AddNoiseProperties(EntityId entity,
   // Constant-valued property: dropped by Simple Filtering.
   AddCategorical(entity, "type", type_label);
   // Unique per-entity id: dropped by the High Entropy filter.
-  AddCategorical(entity, "wikiID", "Q" + std::to_string(next_wiki_id_++));
+  std::string wiki_id = "Q";
+  wiki_id += std::to_string(next_wiki_id_++);
+  AddCategorical(entity, "wikiID", wiki_id);
   // Pure noise, independent of any outcome: survives offline pruning but
   // must lose to real confounders in MCIMR.
   for (size_t i = 0; i < noise_count; ++i) {

@@ -34,10 +34,35 @@ struct IpwWeights {
   bool model_converged = false;
 };
 
+/// The covariate design of a propensity model, column-major:
+/// `columns[c][i]` is covariate c of row i, standardised over the rows
+/// where it is observed. Numeric covariates enter as values; string
+/// covariates as dense codes in order of first appearance; a null
+/// covariate cell takes the column mean (0 after standardising), keeping
+/// the fit defined on all rows. The design depends only on the covariate
+/// columns, so one design serves every attribute fitted over the same
+/// rows.
+struct IpwDesign {
+  size_t rows = 0;
+  std::vector<std::vector<double>> columns;
+};
+
+/// Builds the design over `table`'s rows. Fails if `covariates` is empty
+/// or names a missing column.
+Result<IpwDesign> BuildIpwDesign(const Table& table,
+                                 const std::vector<std::string>& covariates);
+
 /// Computes IPW weights for `attribute` by fitting a logistic regression of
-/// its missingness indicator on the covariates (the paper's pre-processing
-/// step). Rows where a covariate is itself null contribute a neutral
-/// feature value (covariate mean), keeping the fit defined on all rows.
+/// its missingness indicator on `design` (the paper's pre-processing
+/// step). `design` must cover the attribute's rows; it is not consulted
+/// when the attribute is fully observed or fully missing.
+/// `options.covariates` is not used here (the design already holds them).
+Result<IpwWeights> ComputeIpwWeights(const Column& attribute,
+                                     const IpwDesign& design,
+                                     const IpwOptions& options);
+
+/// Builds the design from `options.covariates` over `table` and fits
+/// `attribute` on it.
 Result<IpwWeights> ComputeIpwWeights(const Table& table,
                                      const std::string& attribute,
                                      const IpwOptions& options);

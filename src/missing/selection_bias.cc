@@ -23,24 +23,28 @@ Result<SelectionBiasReport> DetectSelectionBias(
   std::vector<uint8_t> indicator = MissingnessIndicator(*attr);
   r.codes.assign(indicator.begin(), indicator.end());
 
-  CodedVariable oc, tc;
-  if (options.outcome_codes != nullptr) {
-    oc = *options.outcome_codes;
-  } else {
+  // O, T and the trivial code are read through the caller's pointers when
+  // given (QueryAnalysis passes them for every candidate), else built here.
+  CodedVariable own_oc, own_tc, own_trivial;
+  if (options.outcome_codes == nullptr) {
     MESA_ASSIGN_OR_RETURN(
         Discretized o, DiscretizeColumn(table, outcome, options.discretizer));
-    oc = CodedVariable{std::move(o.codes), o.cardinality};
+    own_oc = CodedVariable{std::move(o.codes), o.cardinality, {}};
   }
-  if (options.exposure_codes != nullptr) {
-    tc = *options.exposure_codes;
-  } else {
+  if (options.exposure_codes == nullptr) {
     MESA_ASSIGN_OR_RETURN(
         Discretized t, DiscretizeColumn(table, exposure, options.discretizer));
-    tc = CodedVariable{std::move(t.codes), t.cardinality};
+    own_tc = CodedVariable{std::move(t.codes), t.cardinality, {}};
   }
-  CodedVariable trivial;
-  trivial.codes.assign(r.codes.size(), 0);
-  trivial.cardinality = 1;
+  if (options.trivial_codes == nullptr) {
+    own_trivial = ConstantCode(r.codes.size());
+  }
+  const CodedVariable& oc =
+      options.outcome_codes != nullptr ? *options.outcome_codes : own_oc;
+  const CodedVariable& tc =
+      options.exposure_codes != nullptr ? *options.exposure_codes : own_tc;
+  const CodedVariable& trivial =
+      options.trivial_codes != nullptr ? *options.trivial_codes : own_trivial;
 
   // Entity-level attributes are missing *blockwise*: R_E is constant
   // within each exposure value. Row-level permutation tests would then
@@ -85,10 +89,8 @@ Result<SelectionBiasReport> DetectSelectionBias(
       r_block.codes.push_back(rb[b]);
     }
     Discretized d = DiscretizeVector(means, options.discretizer);
-    CodedVariable o_block{std::move(d.codes), d.cardinality};
-    CodedVariable block_trivial;
-    block_trivial.codes.assign(r_block.codes.size(), 0);
-    block_trivial.cardinality = 1;
+    CodedVariable o_block{std::move(d.codes), d.cardinality, {}};
+    CodedVariable block_trivial = ConstantCode(r_block.codes.size());
     IndependenceOptions block_opts = options.independence;
     block_opts.method = IndependenceMethod::kPermutation;
     IndependenceResult block_test = ConditionalIndependenceTest(

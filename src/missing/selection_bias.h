@@ -44,6 +44,9 @@ struct SelectionBiasOptions {
   /// already hold the codes (QueryAnalysis) pass them here.
   const CodedVariable* outcome_codes = nullptr;
   const CodedVariable* exposure_codes = nullptr;
+  /// Optional shared constant (trivial) code over the table's rows, the
+  /// conditioning set of the marginal test.
+  const CodedVariable* trivial_codes = nullptr;
 };
 
 /// Tests whether complete-case analysis of `attribute` is safe for a query

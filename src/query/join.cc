@@ -190,60 +190,23 @@ Result<Table> HashJoin(const Table& left, const std::string& left_key,
     kept.emplace_back(c, std::move(name));
   }
 
+  // Unmatched rows (index -1) gather as nulls. The per-column gathers are
+  // independent, and each is itself morsel-parallel for large outputs.
   std::vector<Column> gathered;
   gathered.reserve(kept.size());
   for (const auto& [c, name] : kept) {
     (void)name;
     gathered.emplace_back(right.schema().field(c).type);
   }
-  // Gather a slice of the matched rows into `col`, with the exact per-row
-  // logic of the serial reference loop.
-  auto gather_range = [&](size_t k, size_t lo, size_t hi, Column* col) {
-    const Column& src = right.column(kept[k].first);
-    for (size_t i = lo; i < hi; ++i) {
-      int64_t rr = right_rows[i];
-      if (rr < 0 || src.IsNull(static_cast<size_t>(rr))) {
-        col->AppendNull();
-      } else {
-        Status st = col->Append(src.GetValue(static_cast<size_t>(rr)));
-        MESA_CHECK(st.ok());
-      }
-    }
+  auto gather = [&](size_t k) {
+    CancelCheckpoint();
+    gathered[k] = right.column(kept[k].first).TakeOrNull(right_rows);
   };
-  const size_t out_rows = right_rows.size();
-  if (out_rows >= kJoinParallelThreshold && DataPlaneParallel()) {
-    // Morsel-parallel over (column x fixed row chunk) fragments — so even
-    // a single wide gather scales — concatenated per column in chunk
-    // order. AppendFrom copies fragment runs verbatim, so the assembled
-    // column is byte-identical to the serial gather at any thread count.
-    const size_t num_chunks =
-        (out_rows + kJoinMorselRows - 1) / kJoinMorselRows;
-    std::vector<std::vector<Column>> fragments(kept.size());
-    for (size_t k = 0; k < kept.size(); ++k) {
-      fragments[k].reserve(num_chunks);
-      for (size_t c = 0; c < num_chunks; ++c) {
-        fragments[k].emplace_back(right.schema().field(kept[k].first).type);
-      }
-    }
-    ParallelFor(0, kept.size() * num_chunks, [&](size_t t) {
-      CancelCheckpoint();
-      const size_t k = t / num_chunks;
-      const size_t c = t % num_chunks;
-      const size_t lo = c * kJoinMorselRows;
-      const size_t hi = std::min(out_rows, lo + kJoinMorselRows);
-      gather_range(k, lo, hi, &fragments[k][c]);
-    });
-    ParallelFor(0, kept.size(), [&](size_t k) {
-      CancelCheckpoint();
-      for (const Column& fragment : fragments[k]) {
-        gathered[k].AppendFrom(fragment);
-      }
-    });
+  if (kept.size() > 1 && right_rows.size() >= kJoinParallelThreshold &&
+      DataPlaneParallel()) {
+    ParallelFor(0, kept.size(), gather);
   } else {
-    for (size_t k = 0; k < kept.size(); ++k) {
-      CancelCheckpoint();
-      gather_range(k, 0, out_rows, &gathered[k]);
-    }
+    for (size_t k = 0; k < kept.size(); ++k) gather(k);
   }
   for (size_t k = 0; k < kept.size(); ++k) {
     const Field& f = right.schema().field(kept[k].first);

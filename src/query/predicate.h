@@ -59,10 +59,8 @@ class Conjunction {
   /// this is `other` or a refinement of it).
   bool Contains(const Conjunction& other) const;
 
-  /// Evaluates one row.
-  Result<bool> Matches(const Table& table, size_t row) const;
-
-  /// Evaluates all rows into a 0/1 mask.
+  /// Evaluates all rows into a 0/1 mask: one typed scan per condition,
+  /// with EvalCondition's per-row semantics.
   Result<std::vector<uint8_t>> EvaluateMask(const Table& table) const;
 
   /// Indices of matching rows.

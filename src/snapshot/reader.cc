@@ -326,19 +326,34 @@ Result<Table> SnapshotReader::ReadTable() const {
         MESA_ASSIGN_OR_RETURN(
             std::vector<std::string> dict,
             ParseStringList(dict_bytes, dict_size, "column dictionary"));
+        // Dictionary entries are distinct, so equal codes mean equal
+        // strings everywhere downstream.
+        auto shared_dict = std::make_shared<StringDictionary>();
+        if (!StringDictionary::FromDistinct(std::move(dict),
+                                            shared_dict.get())) {
+          return Corrupt("column " + names[i] +
+                         " dictionary has duplicate entries");
+        }
         // Memory-safety gate (unconditional): every code must index the
-        // dictionary, or StringAt would read out of bounds.
+        // dictionary, or StringAt would read out of bounds. Null rows must
+        // code the empty string, as the writer canonicalizes them.
         const uint32_t* codes =
             reinterpret_cast<const uint32_t*>(codes_bytes);
+        const uint32_t empty_code = shared_dict->Find("");
         for (uint64_t row = 0; row < rows; ++row) {
-          if (codes[row] >= dict.size()) {
+          if (codes[row] >= shared_dict->size()) {
             return Corrupt("column " + names[i] + " row " +
                            std::to_string(row) +
                            " dictionary code out of range");
           }
+          if (valid[row] == 0 && codes[row] != empty_code) {
+            return Corrupt("column " + names[i] + " row " +
+                           std::to_string(row) +
+                           " is null but does not code the empty string");
+          }
         }
         columns.push_back(Column::BorrowStringDict(
-            std::move(dict), codes, valid, rows, null_count, owner_));
+            std::move(shared_dict), codes, valid, rows, null_count, owner_));
         break;
       }
       case DataType::kNull:

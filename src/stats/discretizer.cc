@@ -4,9 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <map>
 #include <memory>
-#include <set>
 
 #include "common/logging.h"
 #include "common/lru_cache.h"
@@ -46,57 +44,85 @@ std::string FormatRange(double lo, double hi) {
   return buf;
 }
 
-// Categorical coding: one code per distinct value, sorted for determinism.
-Discretized CodeCategorical(const std::vector<Value>& cells) {
-  std::map<Value, int32_t> codes;
-  for (const auto& v : cells) {
-    if (!v.is_null()) codes.emplace(v, 0);
-  }
-  int32_t next = 0;
-  Discretized out;
-  for (auto& [value, code] : codes) {
-    code = next++;
-    out.labels.push_back(value.ToString());
-  }
-  out.cardinality = next;
-  out.codes.reserve(cells.size());
-  for (const auto& v : cells) {
-    if (v.is_null()) {
-      out.codes.push_back(-1);
-    } else {
-      out.codes.push_back(codes.at(v));
-    }
-  }
-  return out;
+std::string FormatValue(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
 }
 
-Discretized BinNumeric(const std::vector<double>& values,
-                       const std::vector<uint8_t>& valid,
-                       const DiscretizerOptions& options) {
+// Codes a numeric sequence. Null cells (valid[i] == 0; `valid` may be
+// null for "all valid") and NaN cells code -1. At most
+// `categorical_threshold` distinct values get one code each in ascending
+// order, labelled by each value's first occurrence (so -0.0 and 0.0 share
+// a code and the earlier spelling); more are binned per `options`.
+Discretized CodeNumeric(const double* values, const uint8_t* valid, size_t n,
+                        const DiscretizerOptions& options) {
+  // Non-short-circuit `&`: the scans below stay free of data branches.
+  auto live = [&](size_t i) -> bool {
+    return (valid == nullptr || valid[i] != 0) & !std::isnan(values[i]);
+  };
   Discretized out;
-  std::vector<double> present;
-  present.reserve(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (valid.empty() || valid[i]) present.push_back(values[i]);
-  }
-  if (present.empty()) {
-    out.codes.assign(values.size(), -1);
-    out.cardinality = 0;
-    return out;
-  }
+  out.codes.resize(n);
 
-  // Bin edges: k-1 interior cut points; value v -> first bin whose upper
-  // edge exceeds v.
+  // Low-cardinality probe: a small sorted array, abandoned as soon as it
+  // outgrows the threshold.
+  std::vector<double> distinct;
+  distinct.reserve(options.categorical_threshold + 1);
+  for (size_t i = 0; i < n && distinct.size() <= options.categorical_threshold;
+       ++i) {
+    if (!live(i)) continue;
+    const double v = values[i];
+    auto it = std::lower_bound(distinct.begin(), distinct.end(), v);
+    if (it == distinct.end() || *it != v) distinct.insert(it, v);
+  }
+  // `edges` holds the ascending split points: a value codes to the number
+  // of edges it is not below — std::upper_bound's answer, counted without
+  // branches.
   std::vector<double> edges;
-  size_t k = std::max<size_t>(1, options.num_bins);
-  if (options.strategy == BinningStrategy::kEqualWidth) {
+  if (distinct.size() <= options.categorical_threshold) {
+    for (double v : distinct) out.labels.push_back(FormatValue(v));
+    out.cardinality = static_cast<int32_t>(distinct.size());
+    edges.assign(distinct.begin() + (distinct.empty() ? 0 : 1),
+                 distinct.end());
+  } else {
+    // Binned. -0.0 is read as 0.0 so every cut point and label is a
+    // function of the values alone.
+    std::vector<double> present(n);
+    size_t m = 0;
+    for (size_t i = 0; i < n; ++i) {
+      present[m] = values[i] + 0.0;
+      m += live(i);
+    }
+    present.resize(m);
+    size_t k = std::max<size_t>(1, options.num_bins);
     auto [mn_it, mx_it] = std::minmax_element(present.begin(), present.end());
-    double mn = *mn_it, mx = *mx_it;
-    if (mn == mx) {
-      k = 1;
+    const double mn = *mn_it, mx = *mx_it;
+    if (options.strategy == BinningStrategy::kEqualWidth) {
+      if (mn == mx) {
+        k = 1;
+      } else {
+        double width = (mx - mn) / static_cast<double>(k);
+        for (size_t i = 1; i < k; ++i) edges.push_back(mn + width * i);
+      }
     } else {
-      double width = (mx - mn) / static_cast<double>(k);
-      for (size_t i = 1; i < k; ++i) edges.push_back(mn + width * i);
+      // Cut points are the order statistics present[i * m / k], selected
+      // in ascending order; duplicates and cuts equal to the minimum (which
+      // would open an empty first bin) are dropped.
+      size_t done = 0;  // present[0, done) is final below the last pick.
+      for (size_t i = 1; i < k; ++i) {
+        const size_t idx = i * m / k;
+        if (idx >= done) {
+          std::nth_element(present.begin() + static_cast<ptrdiff_t>(done),
+                           present.begin() + static_cast<ptrdiff_t>(idx),
+                           present.end());
+          done = idx + 1;
+        }
+        const double cut = present[idx];
+        if (cut != mn && (edges.empty() || cut != edges.back())) {
+          edges.push_back(cut);
+        }
+      }
+      k = edges.size() + 1;
     }
     double lo = mn;
     for (size_t i = 0; i < k; ++i) {
@@ -104,109 +130,91 @@ Discretized BinNumeric(const std::vector<double>& values,
       out.labels.push_back(FormatRange(lo, hi));
       lo = hi;
     }
-  } else {
-    std::sort(present.begin(), present.end());
-    std::set<double> cuts;
-    for (size_t i = 1; i < k; ++i) {
-      size_t idx = i * present.size() / k;
-      cuts.insert(present[idx]);
-    }
-    // Drop cut points equal to the minimum (they would create empty bins).
-    cuts.erase(present.front());
-    edges.assign(cuts.begin(), cuts.end());
-    k = edges.size() + 1;
-    double lo = present.front();
-    for (size_t i = 0; i < k; ++i) {
-      double hi = i < edges.size() ? edges[i] : present.back();
-      out.labels.push_back(FormatRange(lo, hi));
-      lo = hi;
-    }
+    out.cardinality = static_cast<int32_t>(k);
   }
 
-  out.cardinality = static_cast<int32_t>(k);
-  out.codes.reserve(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (!valid.empty() && !valid[i]) {
-      out.codes.push_back(-1);
-      continue;
-    }
-    double v = values[i];
-    auto it = std::upper_bound(edges.begin(), edges.end(), v);
-    out.codes.push_back(static_cast<int32_t>(it - edges.begin()));
+  for (double e : edges) {
+    for (size_t i = 0; i < n; ++i) out.codes[i] += !(values[i] < e);
+  }
+  for (size_t i = 0; i < n; ++i) out.codes[i] = live(i) ? out.codes[i] : -1;
+  return out;
+}
+
+// String column: the dictionary entries present in valid rows, sorted,
+// give the codes; rows remap through them.
+Discretized CodeStrings(const Column& col) {
+  const size_t n = col.size();
+  const uint8_t* valid = col.validity_data();
+  const uint32_t* codes = col.string_codes();
+  const StringDictionary& dict = col.dictionary();
+  std::vector<int32_t> rank(dict.size(), -1);
+  for (size_t r = 0; r < n; ++r) {
+    if (valid[r]) rank[codes[r]] = 0;
+  }
+  std::vector<uint32_t> present;
+  for (uint32_t c = 0; c < dict.size(); ++c) {
+    if (rank[c] == 0) present.push_back(c);
+  }
+  std::sort(present.begin(), present.end(),
+            [&](uint32_t a, uint32_t b) { return dict[a] < dict[b]; });
+  Discretized out;
+  for (uint32_t c : present) {
+    rank[c] = static_cast<int32_t>(out.labels.size());
+    out.labels.push_back(dict[c]);
+  }
+  out.cardinality = static_cast<int32_t>(present.size());
+  out.codes.resize(n);
+  for (size_t r = 0; r < n; ++r) out.codes[r] = valid[r] ? rank[codes[r]] : -1;
+  return out;
+}
+
+// Bool column: false < true, each present value one code.
+Discretized CodeBools(const Column& col) {
+  const size_t n = col.size();
+  const uint8_t* valid = col.validity_data();
+  const uint8_t* bits = col.bool_data();
+  bool seen[2] = {false, false};
+  for (size_t r = 0; r < n; ++r) {
+    if (valid[r]) seen[bits[r] != 0] = true;
+  }
+  Discretized out;
+  int32_t code_of[2] = {-1, -1};
+  for (int b = 0; b < 2; ++b) {
+    if (!seen[b]) continue;
+    code_of[b] = static_cast<int32_t>(out.labels.size());
+    out.labels.push_back(b ? "true" : "false");
+  }
+  out.cardinality = static_cast<int32_t>(out.labels.size());
+  out.codes.resize(n);
+  for (size_t r = 0; r < n; ++r) {
+    out.codes[r] = valid[r] ? code_of[bits[r] != 0] : -1;
   }
   return out;
 }
 
-Result<Discretized> DiscretizeColumnUncached(const Column* col,
-                                             const DiscretizerOptions& options) {
-  const size_t n = col->size();
-
-  if (col->type() == DataType::kString) {
-    // Fast path: code string columns without materialising Values. Codes
-    // are assigned in sorted label order for determinism.
-    std::map<std::string_view, int32_t> codes;
-    for (size_t r = 0; r < n; ++r) {
-      if (col->IsValid(r)) codes.emplace(col->StringAt(r), 0);
+Discretized DiscretizeColumnUncached(const Column& col,
+                                     const DiscretizerOptions& options) {
+  switch (col.type()) {
+    case DataType::kString:
+      return CodeStrings(col);
+    case DataType::kBool:
+      return CodeBools(col);
+    case DataType::kDouble:
+      return CodeNumeric(col.double_data(), col.validity_data(), col.size(),
+                         options);
+    case DataType::kInt64: {
+      std::vector<double> values(col.size());
+      const int64_t* ints = col.int_data();
+      for (size_t r = 0; r < values.size(); ++r) {
+        values[r] = static_cast<double>(ints[r]);
+      }
+      return CodeNumeric(values.data(), col.validity_data(), col.size(),
+                         options);
     }
-    Discretized out;
-    int32_t next = 0;
-    for (auto& [label, code] : codes) {
-      code = next++;
-      out.labels.emplace_back(label);
-    }
-    out.cardinality = next;
-    out.codes.resize(n);
-    for (size_t r = 0; r < n; ++r) {
-      out.codes[r] = col->IsValid(r) ? codes.find(col->StringAt(r))->second
-                                     : -1;
-    }
-    return out;
+    case DataType::kNull:
+      break;
   }
-  if (col->type() == DataType::kBool) {
-    std::vector<Value> cells;
-    cells.reserve(n);
-    for (size_t r = 0; r < n; ++r) cells.push_back(col->GetValue(r));
-    return CodeCategorical(cells);
-  }
-
-  // Numeric: check cardinality first.
-  std::set<double> distinct;
-  for (size_t r = 0; r < n && distinct.size() <= options.categorical_threshold;
-       ++r) {
-    if (col->IsValid(r)) distinct.insert(col->NumericAt(r));
-  }
-  if (distinct.size() <= options.categorical_threshold) {
-    // Low-cardinality numeric: direct double coding.
-    std::map<double, int32_t> codes;
-    for (size_t r = 0; r < n; ++r) {
-      if (col->IsValid(r)) codes.emplace(col->NumericAt(r), 0);
-    }
-    Discretized out;
-    int32_t next = 0;
-    for (auto& [v, code] : codes) {
-      code = next++;
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.6g", v);
-      out.labels.push_back(buf);
-    }
-    out.cardinality = next;
-    out.codes.resize(n);
-    for (size_t r = 0; r < n; ++r) {
-      out.codes[r] =
-          col->IsValid(r) ? codes.find(col->NumericAt(r))->second : -1;
-    }
-    return out;
-  }
-
-  std::vector<double> values(n, 0.0);
-  std::vector<uint8_t> valid(n, 0);
-  for (size_t r = 0; r < n; ++r) {
-    if (col->IsValid(r)) {
-      values[r] = col->NumericAt(r);
-      valid[r] = 1;
-    }
-  }
-  return BinNumeric(values, valid, options);
+  return {};
 }
 
 }  // namespace
@@ -226,8 +234,7 @@ Result<Discretized> DiscretizeColumn(const Table& table,
     }
     g_discretizer_misses.fetch_add(1, std::memory_order_relaxed);
   }
-  MESA_ASSIGN_OR_RETURN(Discretized out,
-                        DiscretizeColumnUncached(col, options));
+  Discretized out = DiscretizeColumnUncached(*col, options);
   if (use_cache) {
     DiscretizerCache()->Insert(key, std::make_shared<const Discretized>(out),
                                out.codes.size() + 1);
@@ -246,25 +253,7 @@ void ClearDiscretizerCache() { DiscretizerCache()->Clear(); }
 
 Discretized DiscretizeVector(const std::vector<double>& values,
                              const DiscretizerOptions& options) {
-  std::set<double> distinct(values.begin(), values.end());
-  if (distinct.size() <= options.categorical_threshold) {
-    std::map<double, int32_t> codes;
-    for (double v : distinct) {
-      codes.emplace(v, static_cast<int32_t>(codes.size()));
-    }
-    Discretized out;
-    out.cardinality = static_cast<int32_t>(codes.size());
-    for (const auto& [v, c] : codes) {
-      (void)c;
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.6g", v);
-      out.labels.push_back(buf);
-    }
-    out.codes.reserve(values.size());
-    for (double v : values) out.codes.push_back(codes.at(v));
-    return out;
-  }
-  return BinNumeric(values, {}, options);
+  return CodeNumeric(values.data(), nullptr, values.size(), options);
 }
 
 }  // namespace mesa

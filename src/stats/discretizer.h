@@ -47,13 +47,14 @@ struct Discretized {
 
 /// Discretises one column of a table. String/bool/low-cardinality columns
 /// get one code per distinct value (assigned in sorted order for
-/// determinism); other numeric columns are binned per `options`.
+/// determinism); other numeric columns are binned per `options`. Ints are
+/// read as doubles; NaN cells code -1, like nulls.
 Result<Discretized> DiscretizeColumn(const Table& table,
                                      const std::string& column,
                                      const DiscretizerOptions& options = {});
 
-/// Discretises a raw numeric vector (no nulls represented; caller handles
-/// them by filtering first). Exposed for tests and the info estimators.
+/// Discretises a raw numeric vector by the same rules (no nulls
+/// represented; NaN entries code -1).
 Discretized DiscretizeVector(const std::vector<double>& values,
                              const DiscretizerOptions& options = {});
 

@@ -24,16 +24,18 @@ class LogisticModel {
   /// Coefficients, intercept first.
   const std::vector<double>& coefficients() const { return coefficients_; }
 
-  /// Predicted probability for one feature vector (arity = p - 1).
-  double PredictProbability(const std::vector<double>& features) const;
+  /// Predicted probability for row `row` of column-major features
+  /// (`columns[j][row]` is feature j; arity = p - 1).
+  double PredictProbability(const std::vector<std::vector<double>>& columns,
+                            size_t row) const;
 
   bool converged() const { return converged_; }
   size_t iterations() const { return iterations_; }
 
  private:
   friend Result<LogisticModel> FitLogistic(
-      const std::vector<std::vector<double>>& x, const std::vector<uint8_t>& y,
-      const LogisticOptions& options);
+      const std::vector<std::vector<double>>& columns,
+      const std::vector<uint8_t>& y, const LogisticOptions& options);
 
   std::vector<double> coefficients_;
   bool converged_ = false;
@@ -41,13 +43,15 @@ class LogisticModel {
 };
 
 /// Fits logistic regression by iteratively reweighted least squares (Newton-
-/// Raphson), with an L2 ridge to keep separable problems well posed. `x` is
-/// row-major (no intercept column; one is added), `y` holds 0/1 labels.
-/// Used to estimate missingness propensities P(R_E = 1 | X) for IPW
-/// (Section 3.2 of the paper).
-Result<LogisticModel> FitLogistic(const std::vector<std::vector<double>>& x,
-                                  const std::vector<uint8_t>& y,
-                                  const LogisticOptions& options = {});
+/// Raphson), with an L2 ridge to keep separable problems well posed.
+/// `columns` is the column-major design — `columns[j][i]` is feature j of
+/// row i, no intercept column (one is added) — and `y` holds 0/1 labels.
+/// Gradient and Hessian sums run over rows in order, so the fit is a pure
+/// function of its inputs. Used to estimate missingness propensities
+/// P(R_E = 1 | X) for IPW (Section 3.2 of the paper).
+Result<LogisticModel> FitLogistic(
+    const std::vector<std::vector<double>>& columns,
+    const std::vector<uint8_t>& y, const LogisticOptions& options = {});
 
 }  // namespace mesa
 

@@ -1,6 +1,7 @@
 #include "table/column.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "common/cancel.h"
 #include "common/logging.h"
@@ -10,8 +11,22 @@
 
 namespace mesa {
 
+namespace {
+
+// The dictionary every new string column starts from. It is never
+// mutated: this reference keeps its use count above one, so a column's
+// first intern copies it.
+const std::shared_ptr<StringDictionary>& EmptyDictionary() {
+  static const auto* dict = new std::shared_ptr<StringDictionary>(
+      std::make_shared<StringDictionary>());
+  return *dict;
+}
+
+}  // namespace
+
 Column::Column(DataType type) : type_(type) {
   MESA_CHECK(type != DataType::kNull);
+  if (type == DataType::kString) dict_ = EmptyDictionary();
 }
 
 Column::Column(const Column& other)
@@ -28,7 +43,7 @@ Column::Column(const Column& other)
       valid_(other.valid_),
       doubles_(other.doubles_),
       ints_(other.ints_),
-      strings_(other.strings_),
+      codes_(other.codes_),
       bools_(other.bools_) {
   // A borrowed copy shares the owner and keeps the borrowed pointers; an
   // owned copy must re-point at its *own* vectors, not the source's.
@@ -56,16 +71,13 @@ Column::Column(Column&& other) noexcept
       valid_(std::move(other.valid_)),
       doubles_(std::move(other.doubles_)),
       ints_(std::move(other.ints_)),
-      strings_(std::move(other.strings_)),
+      codes_(std::move(other.codes_)),
       bools_(std::move(other.bools_)) {
   // Vector moves transfer the heap buffer, so owned pointers stay valid;
   // re-sync anyway to keep the invariant obvious and the moved-from
   // column consistent (empty).
   if (owner_ == nullptr) SyncPointers();
-  other.size_ = 0;
-  other.null_count_ = 0;
-  other.codes_ptr_ = nullptr;
-  other.SyncPointers();
+  other.ResetMovedFrom();
 }
 
 Column& Column::operator=(Column&& other) noexcept {
@@ -83,14 +95,18 @@ Column& Column::operator=(Column&& other) noexcept {
   valid_ = std::move(other.valid_);
   doubles_ = std::move(other.doubles_);
   ints_ = std::move(other.ints_);
-  strings_ = std::move(other.strings_);
+  codes_ = std::move(other.codes_);
   bools_ = std::move(other.bools_);
   if (owner_ == nullptr) SyncPointers();
-  other.size_ = 0;
-  other.null_count_ = 0;
-  other.codes_ptr_ = nullptr;
-  other.SyncPointers();
+  other.ResetMovedFrom();
   return *this;
+}
+
+void Column::ResetMovedFrom() {
+  size_ = 0;
+  null_count_ = 0;
+  if (type_ == DataType::kString) dict_ = EmptyDictionary();
+  SyncPointers();
 }
 
 void Column::SyncPointers() {
@@ -98,6 +114,7 @@ void Column::SyncPointers() {
   double_ptr_ = doubles_.data();
   int_ptr_ = ints_.data();
   bool_ptr_ = bools_.data();
+  codes_ptr_ = codes_.data();
 }
 
 void Column::EnsureOwned() {
@@ -111,11 +128,7 @@ void Column::EnsureOwned() {
       ints_.assign(int_ptr_, int_ptr_ + size_);
       break;
     case DataType::kString:
-      strings_.reserve(size_);
-      for (size_t row = 0; row < size_; ++row) {
-        strings_.push_back(dict_[codes_ptr_[row]]);
-      }
-      dict_.clear();
+      codes_.assign(codes_ptr_, codes_ptr_ + size_);
       break;
     case DataType::kBool:
       bools_.assign(bool_ptr_, bool_ptr_ + size_);
@@ -123,9 +136,17 @@ void Column::EnsureOwned() {
     case DataType::kNull:
       break;
   }
-  codes_ptr_ = nullptr;
   owner_.reset();
   SyncPointers();
+}
+
+uint32_t Column::InternCode(std::string_view s) {
+  const uint32_t code = dict_->Find(s);
+  if (code != StringDictionary::kNotFound) return code;
+  if (dict_.use_count() != 1) {
+    dict_ = std::make_shared<StringDictionary>(*dict_);
+  }
+  return dict_->Intern(s);
 }
 
 Column Column::FromDoubles(std::vector<double> values) {
@@ -148,9 +169,10 @@ Column Column::FromInts(std::vector<int64_t> values) {
 
 Column Column::FromStrings(std::vector<std::string> values) {
   Column c(DataType::kString);
-  c.strings_ = std::move(values);
-  c.valid_.assign(c.strings_.size(), 1);
-  c.size_ = c.strings_.size();
+  c.codes_.reserve(values.size());
+  for (const std::string& v : values) c.codes_.push_back(c.InternCode(v));
+  c.valid_.assign(values.size(), 1);
+  c.size_ = values.size();
   c.SyncPointers();
   return c;
 }
@@ -203,7 +225,7 @@ Column Column::BorrowBools(const uint8_t* payload, const uint8_t* valid,
   return c;
 }
 
-Column Column::BorrowStringDict(std::vector<std::string> dict,
+Column Column::BorrowStringDict(std::shared_ptr<StringDictionary> dict,
                                 const uint32_t* codes, const uint8_t* valid,
                                 size_t n, size_t null_count,
                                 std::shared_ptr<const void> owner) {
@@ -214,6 +236,7 @@ Column Column::BorrowStringDict(std::vector<std::string> dict,
   c.valid_ptr_ = valid;
   c.codes_ptr_ = codes;
   c.dict_ = std::move(dict);
+  MESA_CHECK(c.dict_ != nullptr);
   c.owner_ = std::move(owner);
   return c;
 }
@@ -266,7 +289,7 @@ void Column::AppendNull() {
       ints_.push_back(0);
       break;
     case DataType::kString:
-      strings_.emplace_back();
+      codes_.push_back(InternCode(""));
       break;
     case DataType::kBool:
       bools_.push_back(0);
@@ -299,7 +322,7 @@ void Column::AppendInt(int64_t v) {
 void Column::AppendString(std::string v) {
   MESA_DCHECK(type_ == DataType::kString);
   EnsureOwned();
-  strings_.push_back(std::move(v));
+  codes_.push_back(InternCode(v));
   valid_.push_back(1);
   ++size_;
   SyncPointers();
@@ -369,7 +392,7 @@ Status Column::Set(size_t row, const Value& value) {
       if (!value.is_string()) {
         return Status::InvalidArgument("expected string value");
       }
-      strings_[row] = value.string_value();
+      codes_[row] = InternCode(value.string_value());
       break;
     case DataType::kBool:
       if (!value.is_bool()) return Status::InvalidArgument("expected bool value");
@@ -391,6 +414,7 @@ void Column::SetNull(size_t row) {
   if (valid_[row] != 0) {
     valid_[row] = 0;
     ++null_count_;
+    if (type_ == DataType::kString) codes_[row] = InternCode("");
   }
 }
 
@@ -404,14 +428,24 @@ uint64_t Column::ContentFingerprint() const {
     case DataType::kInt64:
       h = MixSeed(h, StableHash64Bytes(int_ptr_, size_ * sizeof(int64_t)));
       break;
-    case DataType::kString:
-      // Hash row strings in row order, dictionary-encoded or not, so the
-      // fingerprint is a function of content alone, not storage mode.
+    case DataType::kString: {
+      // Hash row strings in row order, so the fingerprint is a function of
+      // content alone, not of the dictionary's code assignment. Each
+      // entry's hash is computed once.
+      const StringDictionary& dict = *dict_;
+      std::vector<uint64_t> entry_hash(dict.size());
+      std::vector<uint8_t> hashed(dict.size(), 0);
       for (size_t row = 0; row < size_; ++row) {
-        const std::string& s = StringAt(row);
-        h = MixSeed(h, StableHash64Bytes(s.data(), s.size()));
+        const uint32_t code = codes_ptr_[row];
+        if (!hashed[code]) {
+          const std::string& s = dict[code];
+          entry_hash[code] = StableHash64Bytes(s.data(), s.size());
+          hashed[code] = 1;
+        }
+        h = MixSeed(h, entry_hash[code]);
       }
       break;
+    }
     case DataType::kBool:
       h = MixSeed(h, StableHash64Bytes(bool_ptr_, size_));
       break;
@@ -435,14 +469,23 @@ void Column::AppendFrom(const Column& src) {
       ints_.insert(ints_.end(), src.int_ptr_, src.int_ptr_ + n);
       break;
     case DataType::kString:
-      if (src.codes_ptr_ == nullptr) {
-        strings_.insert(strings_.end(), src.strings_.begin(),
-                        src.strings_.end());
+      // An empty column adopts the source's dictionary; one sharing it
+      // copies codes verbatim; otherwise each source entry is re-interned
+      // once.
+      if (size_ == 0) dict_ = src.dict_;
+      if (dict_ == src.dict_) {
+        codes_.insert(codes_.end(), src.codes_ptr_, src.codes_ptr_ + n);
       } else {
-        // Dictionary-encoded source: materialize per row. Null rows code
-        // the empty string, matching AppendNull's dead payload.
-        strings_.reserve(strings_.size() + n);
-        for (size_t r = 0; r < n; ++r) strings_.push_back(src.StringAt(r));
+        std::vector<uint32_t> remap(src.dict_->size(),
+                                    StringDictionary::kNotFound);
+        codes_.reserve(codes_.size() + n);
+        for (size_t r = 0; r < n; ++r) {
+          uint32_t& code = remap[src.codes_ptr_[r]];
+          if (code == StringDictionary::kNotFound) {
+            code = InternCode((*src.dict_)[src.codes_ptr_[r]]);
+          }
+          codes_.push_back(code);
+        }
       }
       break;
     case DataType::kBool:
@@ -458,81 +501,93 @@ void Column::AppendFrom(const Column& src) {
 
 namespace {
 
-// Fixed morsel for parallel Take: a constant (never a function of the
-// thread count) so the fragment boundaries — and with them every
-// concatenation — are a pure function of the row list.
+// Fixed morsel for parallel gathers: a constant (never a function of the
+// thread count). Each chunk writes its own slice of the output, so the
+// result is the same bytes however the chunks are scheduled.
 constexpr size_t kTakeChunkRows = 4096;
 constexpr size_t kTakeParallelThreshold = 4096;
 
 }  // namespace
 
-Column Column::Take(const std::vector<size_t>& rows) const {
-  // Serial gather of a subrange of the row list.
-  auto gather = [this](const std::vector<size_t>& all, size_t lo, size_t hi) {
-    Column out(type_);
-    out.valid_.reserve(hi - lo);
-    switch (type_) {
-      case DataType::kDouble:
-        out.doubles_.reserve(hi - lo);
-        break;
-      case DataType::kInt64:
-        out.ints_.reserve(hi - lo);
-        break;
-      case DataType::kString:
-        out.strings_.reserve(hi - lo);
-        break;
-      case DataType::kBool:
-        out.bools_.reserve(hi - lo);
-        break;
-      case DataType::kNull:
-        break;
-    }
-    for (size_t i = lo; i < hi; ++i) {
-      size_t row = all[i];
-      MESA_DCHECK(row < size());
-      if (IsNull(row)) {
-        out.AppendNull();
-        continue;
-      }
-      switch (type_) {
-        case DataType::kDouble:
-          out.AppendDouble(double_ptr_[row]);
-          break;
-        case DataType::kInt64:
-          out.AppendInt(int_ptr_[row]);
-          break;
-        case DataType::kString:
-          out.AppendString(StringAt(row));
-          break;
-        case DataType::kBool:
-          out.AppendBool(bool_ptr_[row] != 0);
-          break;
-        case DataType::kNull:
-          break;
-      }
-    }
-    return out;
-  };
-
-  if (rows.size() < kTakeParallelThreshold || !DataPlaneParallel()) {
-    return gather(rows, 0, rows.size());
-  }
-  // Morsel-parallel gather: fixed chunks, concatenated in chunk order.
-  // AppendFrom copies each fragment's payload/validity runs verbatim, so
-  // the result is byte-identical to the serial gather above.
-  const size_t num_chunks = (rows.size() + kTakeChunkRows - 1) / kTakeChunkRows;
-  std::vector<Column> fragments;
-  fragments.reserve(num_chunks);
-  for (size_t c = 0; c < num_chunks; ++c) fragments.emplace_back(type_);
-  ParallelFor(0, num_chunks, [&](size_t c) {
-    CancelCheckpoint();
-    const size_t lo = c * kTakeChunkRows;
-    const size_t hi = std::min(rows.size(), lo + kTakeChunkRows);
-    fragments[c] = gather(rows, lo, hi);
-  });
+template <typename Index>
+Column Column::Gather(const std::vector<Index>& rows) const {
+  const size_t n = rows.size();
   Column out(type_);
-  for (const Column& fragment : fragments) out.AppendFrom(fragment);
+  out.size_ = n;
+  out.valid_.resize(n);
+  // A string row that gathers a null takes the empty string's code (the
+  // source's own null rows already hold it).
+  uint32_t empty_code = 0;
+  if (type_ == DataType::kString) {
+    out.dict_ = dict_;
+    bool unmatched = false;
+    if constexpr (std::is_signed_v<Index>) {
+      unmatched = std::any_of(rows.begin(), rows.end(),
+                              [](Index r) { return r < 0; });
+    }
+    if (null_count_ > 0 || unmatched) empty_code = out.InternCode("");
+  }
+  uint8_t* valid = out.valid_.data();
+  auto same = [](auto v) { return v; };
+  auto gather = [&](auto* dst, const auto* src, auto null_value, auto load) {
+    auto chunk = [&, dst, src, null_value, load](size_t lo, size_t hi) {
+      for (size_t i = lo; i < hi; ++i) {
+        const Index idx = rows[i];
+        bool live;
+        if constexpr (std::is_signed_v<Index>) {
+          live = idx >= 0 && valid_ptr_[static_cast<size_t>(idx)] != 0;
+        } else {
+          MESA_DCHECK(idx < size_);
+          live = valid_ptr_[idx] != 0;
+        }
+        valid[i] = live ? 1 : 0;
+        dst[i] = live ? load(src[static_cast<size_t>(idx)]) : null_value;
+      }
+    };
+    if (n < kTakeParallelThreshold || !DataPlaneParallel()) {
+      chunk(0, n);
+      return;
+    }
+    const size_t num_chunks = (n + kTakeChunkRows - 1) / kTakeChunkRows;
+    ParallelFor(0, num_chunks, [&](size_t c) {
+      CancelCheckpoint();
+      const size_t lo = c * kTakeChunkRows;
+      chunk(lo, std::min(n, lo + kTakeChunkRows));
+    });
+  };
+  switch (type_) {
+    case DataType::kDouble:
+      out.doubles_.resize(n);
+      gather(out.doubles_.data(), double_ptr_, 0.0, same);
+      break;
+    case DataType::kInt64:
+      out.ints_.resize(n);
+      gather(out.ints_.data(), int_ptr_, int64_t{0}, same);
+      break;
+    case DataType::kString:
+      out.codes_.resize(n);
+      gather(out.codes_.data(), codes_ptr_, empty_code, same);
+      break;
+    case DataType::kBool:
+      out.bools_.resize(n);
+      gather(out.bools_.data(), bool_ptr_, uint8_t{0},
+             [](uint8_t v) { return static_cast<uint8_t>(v != 0); });
+      break;
+    case DataType::kNull:
+      break;
+  }
+  out.null_count_ = static_cast<size_t>(
+      std::count(out.valid_.begin(), out.valid_.end(), uint8_t{0}));
+  out.SyncPointers();
   return out;
+}
+
+Column Column::Take(const std::vector<size_t>& rows) const {
+  return Gather(rows);
+}
+
+Column Column::TakeOrNull(const std::vector<int64_t>& rows) const {
+  return Gather(rows);
 }
 
 }  // namespace mesa

@@ -4,9 +4,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
+#include "table/string_dictionary.h"
 #include "table/value.h"
 
 namespace mesa {
@@ -15,16 +17,23 @@ namespace mesa {
 /// one contiguous run of the physical type plus a parallel validity run.
 /// Null slots hold a default payload that must never be read.
 ///
+/// String columns are dictionary-coded: the payload is one `uint32_t` code
+/// per row into a `StringDictionary` of distinct strings, held through a
+/// `shared_ptr`. Copies, `Take` and `AppendFrom` copy codes and share the
+/// dictionary; a column that must add an entry to a dictionary it does
+/// not hold alone interns into a private copy first, so a shared
+/// dictionary is never mutated. Null rows always code the empty string.
+///
 /// A column is in one of two storage modes:
 ///
-/// - **owned** (the default): payload and validity live in member vectors,
-///   exactly as a `TableBuilder` / CSV load produces them.
+/// - **owned** (the default): payload (codes, for strings) and validity
+///   live in member vectors, exactly as a `TableBuilder` / CSV load
+///   produces them.
 /// - **borrowed** (zero-copy): payload and validity are `const` pointers
 ///   into memory kept alive by an opaque `owner` handle — in practice a
-///   snapshot's mmap'd file (`src/snapshot/reader.h`). String columns
-///   borrow a `uint32_t` code array and materialize only the dictionary
-///   (one `std::string` per *distinct* value), so `StringAt` still returns
-///   a `const std::string&` without per-row materialization.
+///   snapshot's mmap'd file (`src/snapshot/reader.h`). A borrowed string
+///   column reads its codes from the mapping; its dictionary is an
+///   ordinary shared one.
 ///
 /// Every read accessor behaves identically in both modes. Mutating a
 /// borrowed column (Append / Set / SetNull) first detaches it — the
@@ -60,11 +69,10 @@ class Column {
   static Column BorrowBools(const uint8_t* payload, const uint8_t* valid,
                             size_t n, size_t null_count,
                             std::shared_ptr<const void> owner);
-  /// Dictionary-encoded zero-copy string column: row i reads
-  /// `dict[codes[i]]`. Every code must be < dict.size() (the snapshot
-  /// reader validates this before borrowing). Null rows must code the
-  /// empty string so content fingerprints match an owned equivalent.
-  static Column BorrowStringDict(std::vector<std::string> dict,
+  /// Zero-copy string column: row i reads `(*dict)[codes[i]]`. Every code
+  /// must be < dict->size() and every null row must code the empty string
+  /// (the snapshot reader validates both before borrowing).
+  static Column BorrowStringDict(std::shared_ptr<StringDictionary> dict,
                                  const uint32_t* codes, const uint8_t* valid,
                                  size_t n, size_t null_count,
                                  std::shared_ptr<const void> owner);
@@ -107,7 +115,7 @@ class Column {
   double DoubleAt(size_t row) const { return double_ptr_[row]; }
   int64_t IntAt(size_t row) const { return int_ptr_[row]; }
   const std::string& StringAt(size_t row) const {
-    return codes_ptr_ != nullptr ? dict_[codes_ptr_[row]] : strings_[row];
+    return (*dict_)[codes_ptr_[row]];
   }
   bool BoolAt(size_t row) const { return bool_ptr_[row] != 0; }
 
@@ -122,17 +130,22 @@ class Column {
   void SetNull(size_t row);
 
   /// Appends every row of `src` (same type required), nulls included.
-  /// Payload and validity runs are concatenated verbatim — a bulk vector
-  /// insert when `src` is owned — so chaining AppendFrom over fragments
-  /// built by per-row appends is byte-identical to issuing those appends
-  /// sequentially on one column. This is the concatenation primitive the
-  /// order-stable parallel gathers (join assembly, Take) are built on.
+  /// Validity and numeric payload runs are concatenated verbatim. A string
+  /// column that is empty or shares `src`'s dictionary copies codes; one
+  /// with a different dictionary re-interns each used entry once. Either
+  /// way the result reads, and fingerprints, as if the rows had been
+  /// appended one by one.
   void AppendFrom(const Column& src);
 
-  /// Gathers the given rows into a new (owned) column. Large gathers run
-  /// morsel-parallel over fixed row chunks, concatenated in chunk order —
-  /// byte-identical to the serial gather at any thread count.
+  /// Gathers the given rows into a new (owned) column; null rows get the
+  /// default payload. String columns copy codes and share the dictionary.
+  /// Large gathers run morsel-parallel over fixed row chunks, each writing
+  /// its own slice of the output — byte-identical at any thread count.
   Column Take(const std::vector<size_t>& rows) const;
+
+  /// As Take, but a negative index yields a null row (a join's unmatched
+  /// side).
+  Column TakeOrNull(const std::vector<int64_t>& rows) const;
 
   /// Stable 64-bit hash of the column's content: type, length, validity
   /// bitmap, and payload. Columns with equal fingerprints are treated as
@@ -150,15 +163,30 @@ class Column {
   const int64_t* int_data() const { return int_ptr_; }
   const uint8_t* bool_data() const { return bool_ptr_; }
   const uint8_t* validity_data() const { return valid_ptr_; }
+  /// String columns: per-row codes into dictionary().
+  const uint32_t* string_codes() const { return codes_ptr_; }
+  const StringDictionary& dictionary() const { return *dict_; }
 
  private:
   /// Points the read-through pointers at the owned vectors (owned mode
   /// only; borrowed pointers are set by the Borrow factories).
   void SyncPointers();
 
-  /// Copies borrowed runs into owned vectors and drops the owner handle.
-  /// No-op in owned mode. Called by every mutator.
+  /// Leaves a moved-from column empty and usable.
+  void ResetMovedFrom();
+
+  /// Copies borrowed runs into owned vectors and drops the owner handle
+  /// (a string column keeps sharing its dictionary). No-op in owned mode.
+  /// Called by every mutator.
   void EnsureOwned();
+
+  /// Code of `s` in this column's dictionary, adding it (to a private copy
+  /// if the dictionary is shared) when absent.
+  uint32_t InternCode(std::string_view s);
+
+  /// Shared gather behind Take / TakeOrNull.
+  template <typename Index>
+  Column Gather(const std::vector<Index>& rows) const;
 
   DataType type_;
   size_t size_ = 0;
@@ -170,11 +198,10 @@ class Column {
   const double* double_ptr_ = nullptr;
   const int64_t* int_ptr_ = nullptr;
   const uint8_t* bool_ptr_ = nullptr;
-  const uint32_t* codes_ptr_ = nullptr;  ///< borrowed string mode only.
+  const uint32_t* codes_ptr_ = nullptr;
 
-  /// Borrowed-string dictionary: one string per distinct value; rows read
-  /// dict_[codes_ptr_[row]].
-  std::vector<std::string> dict_;
+  /// String columns only (never null there): the dictionary codes index.
+  std::shared_ptr<StringDictionary> dict_;
 
   /// Keeps borrowed memory alive (e.g. a snapshot mapping); null in owned
   /// mode.
@@ -185,7 +212,7 @@ class Column {
   std::vector<uint8_t> valid_;
   std::vector<double> doubles_;
   std::vector<int64_t> ints_;
-  std::vector<std::string> strings_;
+  std::vector<uint32_t> codes_;
   std::vector<uint8_t> bools_;
 };
 

@@ -6,10 +6,11 @@
 //
 // Examples:
 //   mesa_cli gen --dataset so --rows 20000 --out /tmp/so
-//   mesa_cli explain --data /tmp/so.csv --kg /tmp/so.kg \
-//       --extract Country,Continent \
-//       --query "SELECT Country, avg(Salary) FROM so GROUP BY Country" \
+//   mesa_cli explain --data /tmp/so.csv --kg /tmp/so.kg
+//       --extract Country,Continent
+//       --query "SELECT Country, avg(Salary) FROM so GROUP BY Country"
 //       --subgroups Continent,Gender
+//   (the explain example is one command, wrapped for width)
 //
 // Exit codes: 0 success, 1 usage error, 2 runtime error.
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <map>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -9,6 +11,7 @@
 #include "missing/ipw.h"
 #include "missing/mask.h"
 #include "missing/selection_bias.h"
+#include "stats/ols.h"
 #include "table/table_builder.h"
 
 namespace mesa {
@@ -270,6 +273,203 @@ TEST(Ipw, Errors) {
   IpwOptions opts;
   opts.covariates = {"outcome"};
   EXPECT_FALSE(ComputeIpwWeights(t, "ghost", opts).ok());
+}
+
+// ------------------------------------------------- IPW vs row-major oracle
+
+// Independent reference for one IPW fit: the per-candidate, row-major
+// form — a fresh n x p design of heap-allocated rows, string covariates
+// coded by first appearance through a hash map, and a Newton loop over
+// rows with the intercept as feature 0.
+std::vector<double> NaiveIpwWeights(const Table& table,
+                                    const std::string& attribute,
+                                    const std::vector<std::string>& covariates,
+                                    const IpwOptions& options) {
+  const Column& attr = **table.ColumnByName(attribute);
+  const size_t n = attr.size();
+  std::vector<uint8_t> y(n);
+  size_t observed = 0;
+  for (size_t i = 0; i < n; ++i) {
+    y[i] = attr.IsValid(i) ? 1 : 0;
+    observed += y[i];
+  }
+  if (observed == 0) return std::vector<double>(n, 0.0);
+  if (observed == n) return std::vector<double>(n, 1.0);
+  const double rate = static_cast<double>(observed) / n;
+
+  std::vector<std::vector<double>> x(n,
+                                     std::vector<double>(covariates.size()));
+  for (size_t c = 0; c < covariates.size(); ++c) {
+    const Column& col = **table.ColumnByName(covariates[c]);
+    std::vector<double> raw(n, 0.0);
+    std::vector<uint8_t> ok(n, 0);
+    std::map<std::string, double> first_seen;
+    for (size_t i = 0; i < n; ++i) {
+      if (col.IsNull(i)) continue;
+      ok[i] = 1;
+      if (col.type() == DataType::kString) {
+        raw[i] = first_seen
+                     .emplace(col.StringAt(i),
+                              static_cast<double>(first_seen.size()))
+                     .first->second;
+      } else {
+        raw[i] = col.NumericAt(i);
+      }
+    }
+    double mean = 0.0;
+    size_t cnt = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (ok[i]) {
+        mean += raw[i];
+        ++cnt;
+      }
+    }
+    mean = cnt > 0 ? mean / static_cast<double>(cnt) : 0.0;
+    double var = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      if (ok[i]) var += (raw[i] - mean) * (raw[i] - mean);
+    }
+    double sd = cnt > 1 ? std::sqrt(var / static_cast<double>(cnt - 1)) : 1.0;
+    if (sd <= 0.0) sd = 1.0;
+    for (size_t i = 0; i < n; ++i) x[i][c] = ok[i] ? (raw[i] - mean) / sd : 0.0;
+  }
+
+  const size_t p = covariates.size() + 1;
+  auto feature = [&](size_t r, size_t j) { return j == 0 ? 1.0 : x[r][j - 1]; };
+  auto sigmoid = [](double z) {
+    if (z >= 0.0) return 1.0 / (1.0 + std::exp(-z));
+    const double e = std::exp(z);
+    return e / (1.0 + e);
+  };
+  const LogisticOptions& lo = options.logistic;
+  std::vector<double> beta(p, 0.0);
+  const double base = std::clamp(static_cast<double>(observed) / n, 1e-6,
+                                 1.0 - 1e-6);
+  beta[0] = std::log(base / (1.0 - base));
+  for (size_t iter = 0; iter < lo.max_iterations; ++iter) {
+    std::vector<double> hess(p * p, 0.0), grad(p, 0.0);
+    for (size_t r = 0; r < n; ++r) {
+      double z = 0.0;
+      for (size_t j = 0; j < p; ++j) z += beta[j] * feature(r, j);
+      const double mu = sigmoid(z);
+      const double w = std::max(mu * (1.0 - mu), 1e-10);
+      const double resid = static_cast<double>(y[r]) - mu;
+      for (size_t i = 0; i < p; ++i) {
+        grad[i] += feature(r, i) * resid;
+        for (size_t j = i; j < p; ++j) {
+          hess[i * p + j] += w * feature(r, i) * feature(r, j);
+        }
+      }
+    }
+    for (size_t i = 0; i < p; ++i) {
+      grad[i] -= lo.l2_penalty * beta[i];
+      hess[i * p + i] += lo.l2_penalty;
+      for (size_t j = 0; j < i; ++j) hess[i * p + j] = hess[j * p + i];
+    }
+    EXPECT_TRUE(CholeskySolve(hess, grad, p));
+    double max_delta = 0.0;
+    for (size_t j = 0; j < p; ++j) {
+      beta[j] += grad[j];
+      max_delta = std::max(max_delta, std::fabs(grad[j]));
+    }
+    if (max_delta < lo.tolerance) break;
+  }
+  std::vector<double> weights(n, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    if (!y[i]) continue;
+    double z = beta[0];
+    for (size_t j = 1; j < p; ++j) z += beta[j] * x[i][j - 1];
+    const double prob =
+        std::clamp(sigmoid(z), options.clip, 1.0 - options.clip);
+    weights[i] = rate / prob;
+  }
+  return weights;
+}
+
+bool BitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// A query context in miniature: a string exposure with a null cell, an
+// outcome with nulls, and attributes missing at random, by outcome, and
+// blockwise by exposure value.
+Table IpwOracleWorld(uint64_t seed, size_t n) {
+  Rng rng(seed);
+  TableBuilder b(Schema({{"city", DataType::kString},
+                         {"delay", DataType::kDouble},
+                         {"month", DataType::kInt64},
+                         {"random", DataType::kDouble},
+                         {"by_outcome", DataType::kDouble},
+                         {"blockwise", DataType::kString}}));
+  for (size_t i = 0; i < n; ++i) {
+    const size_t city = rng.NextBelow(12);
+    const double delay = static_cast<double>(city) + rng.NextGaussian(0, 2);
+    auto cell = [&](bool missing, Value v) {
+      return missing ? Value::Null() : std::move(v);
+    };
+    MESA_CHECK(
+        b.AppendRow(
+             {cell(i == 3, Value::String("c" + std::to_string(city))),
+              cell(rng.NextBernoulli(0.05), Value::Double(delay)),
+              Value::Int(rng.NextInt(1, 12)),
+              cell(rng.NextBernoulli(0.3), Value::Double(rng.NextGaussian())),
+              cell(delay > 6.0 && rng.NextBernoulli(0.7),
+                   Value::Double(rng.NextGaussian())),
+              cell(city % 3 == 0, Value::String("s" + std::to_string(city)))})
+            .ok());
+  }
+  return *b.Finish();
+}
+
+TEST(IpwOracle, SharedDesignFitsMatchPerCandidateRowMajorFitsBitwise) {
+  // One, two and three covariates: every Newton accumulator layout.
+  const std::vector<std::vector<std::string>> covariate_sets = {
+      {"city", "delay"}, {"delay"}, {"month", "city"},
+      {"city", "delay", "month"}};
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    const Table full = IpwOracleWorld(seed, 1500 + 250 * seed);
+    std::vector<size_t> rows;
+    for (size_t r = 0; r < full.num_rows(); ++r) {
+      if (r % 4 != 1) rows.push_back(r);
+    }
+    const Table slice = full.TakeRows(rows);
+    for (const Table* t : {&full, &slice}) {
+      for (const auto& covariates : covariate_sets) {
+        IpwOptions opts;
+        opts.covariates = covariates;
+        auto design = BuildIpwDesign(*t, covariates);
+        ASSERT_TRUE(design.ok()) << design.status().ToString();
+        for (const char* attr :
+             {"random", "by_outcome", "blockwise", "month"}) {
+          SCOPED_TRACE(std::string(attr) + " seed " + std::to_string(seed));
+          const std::vector<double> want =
+              NaiveIpwWeights(*t, attr, covariates, opts);
+          auto per_call = ComputeIpwWeights(*t, attr, opts);
+          ASSERT_TRUE(per_call.ok());
+          EXPECT_TRUE(BitwiseEqual(want, per_call->weights));
+          auto shared =
+              ComputeIpwWeights(**t->ColumnByName(attr), *design, opts);
+          ASSERT_TRUE(shared.ok());
+          EXPECT_TRUE(BitwiseEqual(want, shared->weights));
+        }
+      }
+    }
+  }
+}
+
+TEST(IpwOracle, DesignMustCoverTheAttributeRows) {
+  Table t = MakeWorld(200, true, 0.3);
+  auto design = BuildIpwDesign(t, {"outcome"});
+  ASSERT_TRUE(design.ok());
+  Table half = t.TakeRows({0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
+  Column attr = half.column(1);
+  attr.SetNull(0);  // ensure the slice is partially observed
+  attr.AppendDouble(1.0);
+  IpwOptions opts;
+  EXPECT_FALSE(ComputeIpwWeights(attr, *design, opts).ok());
+  EXPECT_FALSE(BuildIpwDesign(t, {}).ok());
+  EXPECT_FALSE(BuildIpwDesign(t, {"ghost"}).ok());
 }
 
 // ------------------------------------------------------------- imputation

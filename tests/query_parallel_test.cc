@@ -427,7 +427,7 @@ TEST(QueryParallel, HashJoinLargeSingleColumnBitIdentical) {
   for (size_t k = 0; k < 2500; ++k) {  // 500 left keys dangle
     rkey.AppendString("r_" + std::to_string(k));
     if (k % 7 == 0) {
-      attr.AppendNull();  // null payloads exercise AppendFrom's dict path
+      attr.AppendNull();  // null payloads gather as the empty string's code
     } else {
       attr.AppendString("attr_" + std::to_string(rng.NextBelow(50)));
     }

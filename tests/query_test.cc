@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "common/rng.h"
 #include "query/aggregate.h"
 #include "query/group_by.h"
 #include "query/join.h"
@@ -108,6 +111,175 @@ TEST(Conjunction, RefineAndContains) {
   EXPECT_EQ(refined.size(), 2u);
   EXPECT_TRUE(refined.Contains(base));
   EXPECT_FALSE(base.Contains(refined));
+}
+
+// ------------------------------------------- EvaluateMask vs per-row oracle
+
+// Reference mask: EvalCondition on every row still set, condition by
+// condition — the per-row Value semantics the typed scan must reproduce,
+// including where a type mismatch first surfaces.
+Result<std::vector<uint8_t>> PerRowMask(const Conjunction& conj,
+                                        const Table& table) {
+  std::vector<uint8_t> mask(table.num_rows(), 1);
+  for (const Condition& cond : conj.conditions()) {
+    MESA_RETURN_IF_ERROR(table.ColumnByName(cond.column).status());
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      if (!mask[r]) continue;
+      MESA_ASSIGN_OR_RETURN(bool ok, EvalCondition(cond, table, r));
+      if (!ok) mask[r] = 0;
+    }
+  }
+  return mask;
+}
+
+Table MaskOracleTable(uint64_t seed, size_t n) {
+  Rng rng(seed);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const char* strings[] = {"DE", "FR", "O'Neil", "a b", "", "de"};
+  Column d(DataType::kDouble), i(DataType::kInt64), s(DataType::kString),
+      b(DataType::kBool);
+  for (size_t r = 0; r < n; ++r) {
+    const double u = rng.NextDouble();
+    if (u < 0.1) {
+      d.AppendNull();
+    } else if (u < 0.15) {
+      d.AppendDouble(nan);
+    } else if (u < 0.25) {
+      d.AppendDouble(rng.NextBernoulli(0.5) ? -0.0 : 0.0);
+    } else {
+      d.AppendDouble(static_cast<double>(rng.NextInt(-3, 3)) * 0.5);
+    }
+    if (rng.NextBernoulli(0.1)) {
+      i.AppendNull();
+      s.AppendNull();
+      b.AppendNull();
+    } else {
+      i.AppendInt(rng.NextInt(-3, 3));
+      s.AppendString(strings[rng.NextBelow(6)]);
+      b.AppendBool(rng.NextBernoulli(0.5));
+    }
+  }
+  Schema schema({{"d", DataType::kDouble},
+                 {"i", DataType::kInt64},
+                 {"s", DataType::kString},
+                 {"b", DataType::kBool}});
+  return *Table::Make(std::move(schema), {std::move(d), std::move(i),
+                                          std::move(s), std::move(b)});
+}
+
+// Literals of every type (and null), so mismatches are drawn too.
+Value RandomLiteral(Rng& rng) {
+  switch (rng.NextBelow(7)) {
+    case 0:
+      return Value::Int(rng.NextInt(-3, 3));
+    case 1:
+      return Value::Double(static_cast<double>(rng.NextInt(-6, 6)) * 0.25);
+    case 2:
+      return Value::Double(-0.0);
+    case 3: {
+      const char* strings[] = {"DE", "O'Neil", "", "E", "a b", "zz"};
+      return Value::String(strings[rng.NextBelow(6)]);
+    }
+    case 4:
+      return Value::Bool(rng.NextBernoulli(0.5));
+    case 5:
+      return Value::Double(std::numeric_limits<double>::quiet_NaN());
+    default:
+      return Value::Null();
+  }
+}
+
+TEST(MaskOracle, TypedScanMatchesPerRowEvaluation) {
+  const CompareOp ops[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                           CompareOp::kLe, CompareOp::kGt, CompareOp::kGe,
+                           CompareOp::kIn};
+  const char* columns[] = {"d", "i", "s", "b"};
+  size_t errors = 0, checked = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const Table full = MaskOracleTable(seed, 400);
+    std::vector<size_t> rows;
+    for (size_t r = 0; r < full.num_rows(); r += 3) rows.push_back(r);
+    const Table slice = full.TakeRows(rows);  // dictionary keeps all entries
+    Rng rng(seed * 7919);
+    for (int trial = 0; trial < 300; ++trial) {
+      Conjunction conj;
+      const size_t num_conditions = 1 + rng.NextBelow(3);
+      for (size_t k = 0; k < num_conditions; ++k) {
+        Condition c;
+        c.column = columns[rng.NextBelow(4)];
+        c.op = ops[rng.NextBelow(7)];
+        if (c.op == CompareOp::kIn) {
+          const size_t m = rng.NextBelow(4);
+          for (size_t j = 0; j < m; ++j) {
+            c.in_values.push_back(RandomLiteral(rng));
+          }
+        } else {
+          c.value = RandomLiteral(rng);
+        }
+        conj.Add(std::move(c));
+      }
+      for (const Table* t : {&full, &slice}) {
+        auto want = PerRowMask(conj, *t);
+        auto got = conj.EvaluateMask(*t);
+        ++checked;
+        ASSERT_EQ(want.ok(), got.ok()) << conj.ToString();
+        if (!want.ok()) {
+          ++errors;
+          EXPECT_EQ(want.status().code(), got.status().code());
+          EXPECT_EQ(want.status().message(), got.status().message());
+          continue;
+        }
+        EXPECT_EQ(*want, *got) << conj.ToString();
+      }
+    }
+  }
+  // Both outcomes were exercised.
+  EXPECT_GT(errors, 0u);
+  EXPECT_LT(errors, checked);
+}
+
+TEST(MaskOracle, TypeMismatchFailsOnlyWhenALiveRowReachesIt) {
+  Table t = People();
+  const Condition mismatch{"country", CompareOp::kLt, Value::Int(3), {}};
+  // No row survives the first condition: the mismatch is never reached.
+  Conjunction dead;
+  dead.Add({"age", CompareOp::kGt, Value::Int(1000), {}});
+  dead.Add(mismatch);
+  auto mask = dead.EvaluateMask(t);
+  ASSERT_TRUE(mask.ok()) << mask.status().ToString();
+  for (uint8_t m : *mask) EXPECT_EQ(m, 0);
+  // Only fox survives, and fox's country is null: still never reached.
+  Conjunction null_only;
+  null_only.Add({"name", CompareOp::kEq, Value::String("fox"), {}});
+  null_only.Add(mismatch);
+  EXPECT_TRUE(null_only.EvaluateMask(t).ok());
+  // A live, non-null row reaches it.
+  Conjunction live;
+  live.Add({"name", CompareOp::kEq, Value::String("ann"), {}});
+  live.Add(mismatch);
+  auto failed = live.EvaluateMask(t);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(failed.status().message(), "incomparable types: string vs int64");
+}
+
+TEST(MaskOracle, IntColumnAgainstDoubleAndQuotedLiterals) {
+  Table t = People();
+  Conjunction c;
+  c.Add({"age", CompareOp::kLe, Value::Double(35.0), {}});
+  c.Add({"salary", CompareOp::kIn, Value::Null(),
+         {Value::Double(100.0), Value::Int(90), Value::String("100")}});
+  auto rows = c.MatchingRows(t);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(*rows, (std::vector<size_t>{0, 2}));
+
+  Table quoted = *ReadCsvString("who\n\"O'Neil\"\nann\n\"a, b\"\n");
+  Conjunction q;
+  q.Add({"who", CompareOp::kIn, Value::Null(),
+         {Value::String("O'Neil"), Value::String("a, b")}});
+  auto matched = q.MatchingRows(quoted);
+  ASSERT_TRUE(matched.ok());
+  EXPECT_EQ(*matched, (std::vector<size_t>{0, 2}));
 }
 
 // -------------------------------------------------------------- Aggregate

@@ -25,8 +25,10 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "common/retry.h"
 #include "datagen/registry.h"
 #include "kg/serialization.h"
+#include "missing/imputation.h"
 #include "serve/json.h"
 #include "serve/router.h"
 #include "snapshot/crc32c.h"
@@ -305,6 +307,134 @@ TEST(SnapshotRoundTrip, FileRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
+// String-column representation contract: one dictionary-coded form, shared
+// dictionaries, content-only fingerprints, unchanged snapshot bytes.
+
+constexpr char kContractCsv[] =
+    "name,city,score,count,flag\n"
+    "ann,Berlin,1.5,3,true\n"
+    "bob,,2.25,,false\n"
+    "\"O'Neil\",Paris,-0.5,7,\n"
+    "cat,Berlin,,2,true\n"
+    "\"a, b\",Paris,3.0,-1,false\n"
+    "ann,,0.0,3,true\n";
+
+// The string-column fingerprint written out from its definition: type,
+// length, validity bytes, then every row's string (nulls read as "") in
+// row order.
+uint64_t StringFingerprintByDefinition(const std::vector<const char*>& rows) {
+  uint64_t h = MixSeed(static_cast<uint64_t>(DataType::kString), rows.size());
+  std::vector<uint8_t> valid;
+  for (const char* s : rows) valid.push_back(s != nullptr ? 1 : 0);
+  h = MixSeed(h, StableHash64Bytes(valid.data(), valid.size()));
+  for (const char* s : rows) {
+    const std::string value = s != nullptr ? s : "";
+    h = MixSeed(h, StableHash64Bytes(value.data(), value.size()));
+  }
+  return h;
+}
+
+Table BorrowedCopy(const Table& table, std::shared_ptr<AlignedImage>* image) {
+  *image = std::make_shared<AlignedImage>(MustSerialize(table, nullptr));
+  auto reader = OpenImage(*image);
+  EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+  auto loaded = reader->ReadTable();
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  return std::move(*loaded);
+}
+
+TEST(StringColumnContract, FingerprintIsContentOnlyAcrossStorageForms) {
+  const Table csv = *ReadCsvString(kContractCsv);
+  const uint64_t want = StringFingerprintByDefinition(
+      {"Berlin", nullptr, "Paris", "Berlin", "Paris", nullptr});
+  const Column& built = *csv.ColumnByName("city").value();
+  EXPECT_EQ(want, built.ContentFingerprint());
+
+  std::shared_ptr<AlignedImage> image;
+  const Table borrowed_table = BorrowedCopy(csv, &image);
+  const Column& borrowed = *borrowed_table.ColumnByName("city").value();
+  ASSERT_TRUE(borrowed.is_borrowed());
+  EXPECT_EQ(want, borrowed.ContentFingerprint());
+
+  std::vector<size_t> all = {0, 1, 2, 3, 4, 5};
+  EXPECT_EQ(want, built.Take(all).ContentFingerprint());
+  EXPECT_EQ(want, borrowed.Take(all).ContentFingerprint());
+  EXPECT_EQ(want, built.TakeOrNull({0, 1, 2, 3, 4, 5}).ContentFingerprint());
+
+  // Halves from different dictionaries, concatenated: the first append
+  // adopts a dictionary, the second re-interns into it.
+  Column joined(DataType::kString);
+  joined.AppendFrom(borrowed.Take({0, 1, 2}));
+  joined.AppendFrom(built.Take({3, 4, 5}));
+  EXPECT_EQ(want, joined.ContentFingerprint());
+  // Per-row appends build yet another dictionary order.
+  Column appended(DataType::kString);
+  for (size_t r : {0, 1, 2, 3, 4, 5}) {
+    ASSERT_TRUE(appended.Append(built.GetValue(r)).ok());
+  }
+  EXPECT_EQ(want, appended.ContentFingerprint());
+
+  // Unmatched join rows gather as nulls that read as "".
+  const uint64_t with_unmatched =
+      StringFingerprintByDefinition({"Paris", nullptr, "Berlin"});
+  const Column no_nulls = Column::FromStrings({"Berlin", "Paris"});
+  EXPECT_EQ(with_unmatched,
+            no_nulls.TakeOrNull({1, -1, 0}).ContentFingerprint());
+}
+
+TEST(StringColumnContract, CsvLoadedSnapshotBytesAreUnchanged) {
+  // Size and CRC-32C of the snapshot this CSV serialized to before string
+  // columns were dictionary-coded in memory.
+  const Table csv = *ReadCsvString(kContractCsv);
+  const std::string bytes = MustSerialize(csv, nullptr);
+  EXPECT_EQ(1144u, bytes.size());
+  EXPECT_EQ(0x97ac0c05u, Crc32c(bytes.data(), bytes.size()));
+  // Re-serializing the borrowed load gives the same bytes.
+  std::shared_ptr<AlignedImage> image;
+  EXPECT_EQ(bytes, MustSerialize(BorrowedCopy(csv, &image), nullptr));
+}
+
+TEST(StringColumnContract, MutatingASharedDictionaryLeavesTheSourceAlone) {
+  const Table csv = *ReadCsvString(kContractCsv);
+  std::shared_ptr<AlignedImage> image;
+  const Table borrowed_table = BorrowedCopy(csv, &image);
+  for (const Table* source_table : {&csv, &borrowed_table}) {
+    const Column& source = *source_table->ColumnByName("city").value();
+    const uint64_t fingerprint = source.ContentFingerprint();
+    const size_t dict_size = source.dictionary().size();
+
+    Column taken = source.Take({0, 1, 2, 3, 4, 5});
+    ASSERT_TRUE(taken.Set(0, Value::String("Rome")).ok());  // new entry
+    ASSERT_TRUE(taken.Set(1, Value::String("Paris")).ok());
+    taken.SetNull(2);
+    EXPECT_EQ("Rome", taken.StringAt(0));
+    EXPECT_EQ("Paris", taken.StringAt(1));
+    EXPECT_TRUE(taken.IsNull(2));
+    // A nulled row reads as "", like a freshly built null.
+    EXPECT_EQ("", taken.StringAt(2));
+
+    Column copy = source;
+    copy.AppendString("Madrid");
+
+    EXPECT_EQ(fingerprint, source.ContentFingerprint());
+    EXPECT_EQ(dict_size, source.dictionary().size());
+    EXPECT_EQ("Berlin", source.StringAt(0));
+    EXPECT_TRUE(source.IsNull(1));
+    EXPECT_EQ("Paris", source.StringAt(2));
+
+    // Imputation edits a context copy in place; the source table keeps
+    // its nulls.
+    Table context = source_table->TakeRows({0, 1, 2, 3, 4, 5});
+    auto imputed = ImputeColumn(&context, "city",
+                                ImputationStrategy::kMeanOrMode);
+    ASSERT_TRUE(imputed.ok()) << imputed.status().ToString();
+    EXPECT_EQ(2u, *imputed);
+    EXPECT_EQ(2u, source.null_count());
+    EXPECT_EQ(fingerprint, source.ContentFingerprint());
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Hostile inputs. Every mutation below must produce a clean error Status
 // (run under ASan/UBSan in CI — see .github/workflows/ci.yml).
 
@@ -469,6 +599,53 @@ TEST_F(SnapshotHostileTest, OutOfBoundsDictionaryCode) {
     EXPECT_FALSE(TryLoad(bytes, /*verify=*/true).ok());
   }
   ASSERT_TRUE(found) << "test table lost its string column";
+}
+
+// Column 1 ("city") of the contract CSV codes [0, 1, 2, 0, 2, 1] into
+// {"Berlin", "", "Paris"}; row 1 is null.
+TEST_F(SnapshotHostileTest, NullRowNotCodingTheEmptyString) {
+  bytes_ = MustSerialize(*ReadCsvString(kContractCsv), nullptr);
+  bool found = false;
+  for (const SectionEntry& entry : ReadSections(ReadFooter())) {
+    if (entry.kind != static_cast<uint32_t>(SectionKind::kColumnDictCodes) ||
+        entry.arg != 1) {
+      continue;
+    }
+    found = true;
+    std::string bytes = bytes_;
+    const uint32_t berlin = 0;
+    std::memcpy(bytes.data() + entry.offset + sizeof(uint32_t), &berlin,
+                sizeof(berlin));
+    Status status = TryLoad(bytes, /*verify=*/false);
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(std::string::npos,
+              status.message().find("does not code the empty string"))
+        << status.ToString();
+  }
+  ASSERT_TRUE(found);
+}
+
+// Column 0 ("name") has the dictionary {ann, bob, O'Neil, cat, "a, b"};
+// spelling "bob" as "ann" makes two entries equal.
+TEST_F(SnapshotHostileTest, DuplicateDictionaryEntries) {
+  bytes_ = MustSerialize(*ReadCsvString(kContractCsv), nullptr);
+  bool found = false;
+  for (const SectionEntry& entry : ReadSections(ReadFooter())) {
+    if (entry.kind != static_cast<uint32_t>(SectionKind::kColumnDict) ||
+        entry.arg != 0) {
+      continue;
+    }
+    std::string bytes = bytes_;
+    const size_t at = bytes.find("bob", entry.offset);
+    ASSERT_LT(at, entry.offset + entry.size);
+    found = true;
+    std::memcpy(bytes.data() + at, "ann", 3);
+    Status status = TryLoad(bytes, /*verify=*/false);
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(std::string::npos, status.message().find("duplicate entries"))
+        << status.ToString();
+  }
+  ASSERT_TRUE(found);
 }
 
 TEST_F(SnapshotHostileTest, GarbageFiles) {
