@@ -7,10 +7,12 @@
 //   ./build/examples/covid_confounders
 
 #include <cstdio>
+#include <map>
+#include <string>
+#include <utility>
 
 #include "core/mesa.h"
 #include "datagen/registry.h"
-#include "query/group_by.h"
 
 using namespace mesa;
 
@@ -20,18 +22,25 @@ int main() {
   auto ds = MakeDataset(DatasetKind::kCovid, {});
   if (!ds.ok()) return 1;
 
-  // What Ann sees first: the grouped aggregate itself.
-  auto grouped = GroupByAggregate(ds->table, "Country",
-                                  "Deaths_per_100_cases",
-                                  AggregateFunction::kAvg);
-  if (!grouped.ok()) return 1;
+  // What Ann sees first: the grouped aggregate itself (one snapshot row
+  // per country).
+  const Column& country = **ds->table.ColumnByName("Country");
+  const Column& deaths = **ds->table.ColumnByName("Deaths_per_100_cases");
+  std::map<std::string, std::pair<double, size_t>> by_country;
+  for (size_t r = 0; r < ds->table.num_rows(); ++r) {
+    if (country.IsNull(r) || deaths.IsNull(r)) continue;
+    auto& [sum, count] = by_country[country.GetValue(r).string_value()];
+    sum += deaths.GetValue(r).AsDouble();
+    ++count;
+  }
   std::printf("SELECT Country, avg(Deaths_per_100_cases) FROM Covid GROUP BY "
               "Country\n");
-  std::printf("(%zu countries; first five)\n", grouped->groups.size());
-  for (size_t i = 0; i < 5 && i < grouped->groups.size(); ++i) {
-    std::printf("  %-14s %.2f\n",
-                grouped->groups[i].group.ToString().c_str(),
-                grouped->groups[i].aggregate);
+  std::printf("(%zu countries; first five)\n", by_country.size());
+  size_t shown = 0;
+  for (const auto& [name, sum_count] : by_country) {
+    if (shown++ == 5) break;
+    std::printf("  %-14s %.2f\n", name.c_str(),
+                sum_count.first / static_cast<double>(sum_count.second));
   }
 
   // MESA explains the puzzling spread.

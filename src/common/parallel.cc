@@ -161,18 +161,6 @@ void SetNumThreads(size_t num_threads) {
 
 size_t NumThreads() { return GlobalThreadPool()->num_threads(); }
 
-namespace {
-std::atomic<bool> g_data_plane_parallel{true};
-}  // namespace
-
-void SetDataPlaneParallel(bool enabled) {
-  g_data_plane_parallel.store(enabled, std::memory_order_relaxed);
-}
-
-bool DataPlaneParallel() {
-  return g_data_plane_parallel.load(std::memory_order_relaxed);
-}
-
 void ParallelForChunks(size_t begin, size_t end,
                        const std::function<void(size_t, size_t)>& body,
                        size_t max_threads) {

@@ -77,16 +77,6 @@ void SetNumThreads(size_t num_threads);
 /// Lane count of the current global pool.
 size_t NumThreads();
 
-/// Process-wide switch for the morsel-driven data-plane operators
-/// (group-by, hash join, KG extraction, TakeRows). When off they run
-/// their single-threaded reference loops regardless of the pool size.
-/// Outputs are bit-identical either way — the parallel paths preserve
-/// the serial accumulation order by construction — so this only exists
-/// to time honest serial baselines (bench A/Bs) and to pin the
-/// serial-vs-parallel equivalence in tests. Defaults to on.
-void SetDataPlaneParallel(bool enabled);
-bool DataPlaneParallel();
-
 /// Parallel loop: body(i) for i in [begin, end). Per-index work must be
 /// independent; chunk boundaries may vary with the thread count, so any
 /// cross-index accumulation belongs in ParallelMapReduce instead.

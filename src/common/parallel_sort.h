@@ -76,9 +76,6 @@ void StableRadixSortByKey(std::vector<T>* data, int key_bits,
   }
 
   const int passes = (key_bits + 7) / 8;
-  // Honor the data-plane toggle by capping the pool, not by changing the
-  // algorithm: the chunk plan (and so the output) is the same either way.
-  const size_t max_threads = DataPlaneParallel() ? 0 : 1;
   std::vector<T> scratch(n);
   T* src = data->data();
   T* dst = scratch.data();
@@ -103,8 +100,7 @@ void StableRadixSortByKey(std::vector<T>* data, int key_bits,
                         key_of(src[i]) < (uint64_t{1} << key_bits));
             ++h[(key_of(src[i]) >> shift) & 0xFF];
           }
-        },
-        max_threads);
+        });
     // Exclusive scan in (digit-major, chunk-minor) order: all of digit 0
     // across the chunks in order, then digit 1, ... — exactly the layout
     // a serial stable counting sort would produce.
@@ -126,8 +122,7 @@ void StableRadixSortByKey(std::vector<T>* data, int key_bits,
           for (size_t i = lo; i < hi; ++i) {
             dst[cursor[(key_of(src[i]) >> shift) & 0xFF]++] = src[i];
           }
-        },
-        max_threads);
+        });
     std::swap(src, dst);
   }
   if (src != data->data()) {

@@ -48,7 +48,7 @@ struct CodedVariable {
   std::vector<int32_t> codes;
   int32_t cardinality = 0;
   /// Cached content hash; see fingerprint().
-  mutable CodedFingerprint fp;
+  mutable CodedFingerprint fp{};
 
   size_t size() const { return codes.size(); }
 

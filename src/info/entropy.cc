@@ -58,12 +58,6 @@ double Entropy(const CodedVariable& x, const std::vector<double>* weights,
   return r;
 }
 
-double JointEntropy(const CodedVariable& x, const CodedVariable& y,
-                    const std::vector<double>* weights,
-                    const EntropyOptions& options) {
-  return Entropy(CombinePair(x, y), weights, options);
-}
-
 double ConditionalEntropy(const CodedVariable& x, const CodedVariable& y,
                           const std::vector<double>* weights,
                           const EntropyOptions& options) {

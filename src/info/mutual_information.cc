@@ -23,7 +23,6 @@ using info_internal::BitsFor;
 using info_internal::BuildDenseEntries;
 using info_internal::BuildPackedEntries;
 using info_internal::CmiFromEntries;
-using info_internal::HashCmi;
 using info_internal::kDenseCmiBits;
 using info_internal::PackKey3;
 using info_internal::SumEntriesAscending;
@@ -33,47 +32,28 @@ using info_internal::UnpackKey3;
 // MI through a cube kernel memoizes under the CMI tag (it *is* a CMI
 // with a constant conditioning axis), so the same expression reached via
 // either entry point shares one memo slot. The dense and packed kernels
-// share kTagCmi — they are bit-identical by the canonical-cube contract —
-// while the hash kernel's ulp-different results live under their own
-// tag, so flipping MESA_CMI_KERNEL mid-process can never replay a stale
-// value from the other arithmetic.
-constexpr uint64_t kTagCmi = 0x434D49;       // "CMI"
-constexpr uint64_t kTagCmiHash = 0x434D4948; // "CMIH"
-constexpr uint64_t kTagMi = 0x4D49;          // "MI"
+// share kTagCmi — they are bit-identical by the canonical-cube contract.
+constexpr uint64_t kTagCmi = 0x434D49;  // "CMI"
+constexpr uint64_t kTagMi = 0x4D49;     // "MI"
 
-// What actually runs for one evaluation, after clamping the requested
-// mode to the widths each kernel can serve.
-enum class Resolved { kDense, kPacked, kHash, kFallback };
+// What runs for one evaluation: picked by key width alone.
+enum class Kernel { kDense, kPacked, kFallback };
 
-Resolved ResolveKernel(int key_bits) {
-  if (key_bits > 64) return Resolved::kFallback;
-  switch (CmiKernelMode()) {
-    case CmiKernel::kPacked:
-      return Resolved::kPacked;
-    case CmiKernel::kHash:
-      return Resolved::kHash;
-    case CmiKernel::kAuto:
-    case CmiKernel::kDense:
-      break;
-  }
-  // Auto picks by width; a forced `dense` above the arena limit clamps
-  // to packed, which is bit-identical where both could run.
-  return key_bits <= kDenseCmiBits ? Resolved::kDense : Resolved::kPacked;
+Kernel SelectKernel(int key_bits) {
+  if (key_bits > 64) return Kernel::kFallback;
+  return key_bits <= kDenseCmiBits ? Kernel::kDense : Kernel::kPacked;
 }
 
 // Bumps the per-kernel selection counter (docs/observability.md).
-void CountKernel(Resolved kernel) {
+void CountKernel(Kernel kernel) {
   switch (kernel) {
-    case Resolved::kDense:
+    case Kernel::kDense:
       MESA_COUNT("info/kernel_dense");
       break;
-    case Resolved::kPacked:
+    case Kernel::kPacked:
       MESA_COUNT("info/kernel_packed");
       break;
-    case Resolved::kHash:
-      MESA_COUNT("info/kernel_hash");
-      break;
-    case Resolved::kFallback:
+    case Kernel::kFallback:
       MESA_COUNT("info/kernel_fallback");
       break;
   }
@@ -175,27 +155,6 @@ double CachedCubeCmi(const CodedVariable& x, const CodedVariable& y,
   return r;
 }
 
-// The hash escape kernel behind its own (salted) memo tag. No cube
-// sharing: its summation order is not reproducible from a cube.
-double CachedHashCmi(const CodedVariable& x, const CodedVariable& y,
-                     const CodedVariable& z,
-                     const std::vector<double>* weights,
-                     const EntropyOptions& options, int by, int bz) {
-  uint64_t skey = 0;
-  if (info_cache::Enabled()) {
-    const uint64_t fps[3] = {x.fingerprint(), y.fingerprint(),
-                             z.fingerprint()};
-    skey = info_cache::ScalarKey(kTagCmiHash, fps, 3,
-                                 info_cache::WeightsFingerprint(weights),
-                                 options.miller_madow);
-    double memo = 0.0;
-    if (info_cache::LookupScalar(skey, &memo)) return memo;
-  }
-  double r = HashCmi(x, y, z, weights, options, by, bz);
-  if (info_cache::Enabled()) info_cache::InsertScalar(skey, r);
-  return r;
-}
-
 // Masks variable `v` to the rows present in `support` (code >= 0), so all
 // entropy terms of an MI/CMI expression share one sample.
 CodedVariable MaskTo(const CodedVariable& v, const CodedVariable& support) {
@@ -235,18 +194,11 @@ double MutualInformation(const CodedVariable& x, const CodedVariable& y,
   // kernel arrived.
   int bx = BitsFor(std::max<int32_t>(1, x.cardinality));
   int by = BitsFor(std::max<int32_t>(1, y.cardinality));
-  const Resolved kernel = ResolveKernel(bx + by + 1);
+  const Kernel kernel = SelectKernel(bx + by + 1);
   CountKernel(kernel);
-  switch (kernel) {
-    case Resolved::kDense:
-    case Resolved::kPacked:
-      return CachedCubeCmi(x, y, TrivialFor(x.codes.size()), weights, options,
-                           bx, by, 1, kernel == Resolved::kDense);
-    case Resolved::kHash:
-      return CachedHashCmi(x, y, TrivialFor(x.codes.size()), weights, options,
-                           by, 1);
-    case Resolved::kFallback:
-      break;
+  if (kernel != Kernel::kFallback) {
+    return CachedCubeCmi(x, y, TrivialFor(x.codes.size()), weights, options,
+                         bx, by, 1, kernel == Kernel::kDense);
   }
   uint64_t skey = 0;
   if (info_cache::Enabled()) {
@@ -278,17 +230,11 @@ double ConditionalMutualInformation(const CodedVariable& x,
   int bx = BitsFor(std::max<int32_t>(1, x.cardinality));
   int by = BitsFor(std::max<int32_t>(1, y.cardinality));
   int bz = BitsFor(std::max<int32_t>(1, z.cardinality));
-  const Resolved kernel = ResolveKernel(bx + by + bz);
+  const Kernel kernel = SelectKernel(bx + by + bz);
   CountKernel(kernel);
-  switch (kernel) {
-    case Resolved::kDense:
-    case Resolved::kPacked:
-      return CachedCubeCmi(x, y, z, weights, options, bx, by, bz,
-                           kernel == Resolved::kDense);
-    case Resolved::kHash:
-      return CachedHashCmi(x, y, z, weights, options, by, bz);
-    case Resolved::kFallback:
-      break;
+  if (kernel != Kernel::kFallback) {
+    return CachedCubeCmi(x, y, z, weights, options, bx, by, bz,
+                         kernel == Kernel::kDense);
   }
   // Key too wide for any packed kernel (> 64 bits): derive from the
   // composite-entropy identity.
@@ -312,21 +258,6 @@ double ConditionalMutualInformation(const CodedVariable& x,
   double r = std::max(0.0, h_xz + h_yz - h_xyz - h_z);
   if (info_cache::Enabled()) info_cache::InsertScalar(skey, r);
   return r;
-}
-
-double InteractionInformation(const CodedVariable& x, const CodedVariable& y,
-                              const CodedVariable& z,
-                              const std::vector<double>* weights,
-                              const EntropyOptions& options) {
-  // Evaluate both terms over the common support of all three variables so
-  // the difference is meaningful under missing data.
-  CodedVariable xyz = CombinePair(CombinePair(x, z), y);
-  CodedVariable xm = MaskTo(x, xyz);
-  CodedVariable ym = MaskTo(y, xyz);
-  CodedVariable zm = MaskTo(z, xyz);
-  double mi = MutualInformation(xm, ym, weights, options);
-  double cmi = ConditionalMutualInformation(xm, ym, zm, weights, options);
-  return mi - cmi;
 }
 
 }  // namespace mesa

@@ -24,15 +24,6 @@ double ConditionalMutualInformation(const CodedVariable& x,
                                     const std::vector<double>* weights = nullptr,
                                     const EntropyOptions& options = {});
 
-/// Interaction information I(X; Y; Z) = I(X;Y) - I(X;Y|Z). Positive means Z
-/// explains away part of the X-Y association (what a confounder does);
-/// negative means conditioning on Z *induces* association (the paper's
-/// Hobby example).
-double InteractionInformation(const CodedVariable& x, const CodedVariable& y,
-                              const CodedVariable& z,
-                              const std::vector<double>* weights = nullptr,
-                              const EntropyOptions& options = {});
-
 }  // namespace mesa
 
 #endif  // MESA_INFO_MUTUAL_INFORMATION_H_

@@ -63,8 +63,8 @@ class KgEndpoint {
   /// A fresh endpoint equivalent to this one, for a parallel extraction
   /// shard: same answers and same per-argument fault behaviour, but no
   /// shared mutable state (clock binding, attempt bookkeeping) with the
-  /// original. nullptr means "not cloneable" — the extractor then falls
-  /// back to its serial shared-client loop.
+  /// original. nullptr means "not cloneable" — the extractor then runs the
+  /// whole scan through one shared client.
   virtual std::shared_ptr<KgEndpoint> CloneForShard() const {
     return nullptr;
   }

@@ -187,11 +187,10 @@ std::map<std::string, Value> CollapseProps(
   return collapsed;
 }
 
-// Per-value scan output. The scans below (serial or worker-sharded) fill
-// one slot per distinct key value; AssembleSlots then replays the slots in
-// sorted key order, so rows, attribute names, and stats come out exactly
-// as the serial reference loop produces them regardless of how the scan
-// was scheduled across threads.
+// Per-value scan output. The scans below fill one slot per distinct key
+// value; AssembleSlots then replays the slots in sorted key order, so
+// rows, attribute names, and stats never depend on how the scan was
+// scheduled across threads.
 struct ValueSlot {
   enum class Outcome { kNotFound, kAmbiguous, kLinked, kFailed };
   Outcome outcome = Outcome::kNotFound;
@@ -203,7 +202,7 @@ struct ValueSlot {
 // Fixed key chunk of the parallel slot replay; a constant so the chunk
 // decomposition depends only on the key count.
 constexpr size_t kAssembleChunkKeys = 256;
-// Below this many keys the serial replay wins outright.
+// Below this many keys the replay runs on one lane.
 constexpr size_t kAssembleParallelThreshold = 512;
 
 void AssembleSlots(const std::vector<std::string>& keys,
@@ -214,8 +213,8 @@ void AssembleSlots(const std::vector<std::string>& keys,
   // per key, so rows are written by index — and tallies into
   // chunk-local stats/names that merge in chunk order below. Every
   // output is a pure per-key function plus an order-independent
-  // reduction (integer sums, set union), so the parallel replay is
-  // byte-identical to the serial one at any thread count.
+  // reduction (integer sums, set union), so the replay is byte-identical
+  // at any thread count.
   auto replay = [&](size_t i, ExtractionStats* st,
                     std::set<std::string>* names) {
     ValueSlot& slot = slots[i];
@@ -240,22 +239,21 @@ void AssembleSlots(const std::vector<std::string>& keys,
   };
 
   rows->resize(keys.size());
-  if (keys.size() < kAssembleParallelThreshold || !DataPlaneParallel()) {
-    for (size_t i = 0; i < keys.size(); ++i) replay(i, stats, attr_names);
-    return;
-  }
   const size_t num_chunks =
       (keys.size() + kAssembleChunkKeys - 1) / kAssembleChunkKeys;
   std::vector<ExtractionStats> chunk_stats(num_chunks);
   std::vector<std::set<std::string>> chunk_names(num_chunks);
-  ParallelFor(0, num_chunks, [&](size_t c) {
-    CancelCheckpoint();
-    const size_t lo = c * kAssembleChunkKeys;
-    const size_t hi = std::min(keys.size(), lo + kAssembleChunkKeys);
-    for (size_t i = lo; i < hi; ++i) {
-      replay(i, &chunk_stats[c], &chunk_names[c]);
-    }
-  });
+  ParallelFor(
+      0, num_chunks,
+      [&](size_t c) {
+        CancelCheckpoint();
+        const size_t lo = c * kAssembleChunkKeys;
+        const size_t hi = std::min(keys.size(), lo + kAssembleChunkKeys);
+        for (size_t i = lo; i < hi; ++i) {
+          replay(i, &chunk_stats[c], &chunk_names[c]);
+        }
+      },
+      keys.size() < kAssembleParallelThreshold ? 1 : 0);
   for (size_t c = 0; c < num_chunks; ++c) {
     stats->values_linked += chunk_stats[c].values_linked;
     stats->values_ambiguous += chunk_stats[c].values_ambiguous;
@@ -355,11 +353,7 @@ Result<Table> ExtractAttributes(const Table& table, const std::string& column,
     slot.outcome = ValueSlot::Outcome::kLinked;
     GatherProperties(store, *link.entity, "", options.hops, &slot.props);
   };
-  if (DataPlaneParallel()) {
-    ParallelFor(0, keys.size(), process, options.num_threads);
-  } else {
-    for (size_t i = 0; i < keys.size(); ++i) process(i);
-  }
+  ParallelFor(0, keys.size(), process, options.num_threads);
 
   ExtractedRows rows;
   std::set<std::string> attr_names;
@@ -382,8 +376,8 @@ Result<Table> ExtractAttributes(const Table& table, const std::string& column,
   ExtractionStats local_stats;
   local_stats.values_total = keys.size();
 
-  // Fills one slot through `c`, which may be the shared client (legacy
-  // serial path) or a per-value shard.
+  // Fills one slot through `c`: a per-value shard, or the shared client
+  // when the endpoint cannot be cloned.
   std::vector<ValueSlot> slots(keys.size());
   auto process = [&](ResilientKgClient* c, size_t i) {
     CancelCheckpoint();  // per-value extraction checkpoint
@@ -406,7 +400,7 @@ Result<Table> ExtractAttributes(const Table& table, const std::string& column,
                            &slot.any_failure);
   };
 
-  if (client->SupportsSharding() && DataPlaneParallel()) {
+  if (client->SupportsSharding()) {
     // Each distinct value gets its own shard client (fresh clock, breaker,
     // cache over a cloned endpoint), so its retry/jitter/fault sequence is
     // a pure function of the value — never of which thread ran it or what

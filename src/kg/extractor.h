@@ -34,8 +34,8 @@ struct ExtractionOptions {
   /// Concurrency cap for the per-value extraction scan (0 = the global
   /// pool size). Linking and property flattening are independent per
   /// distinct key value, so the scan shards the distinct-value dictionary
-  /// across workers; results are assembled serially in sorted key order
-  /// and are bit-identical at any thread count.
+  /// across workers; results are assembled in sorted key order and are
+  /// bit-identical at any thread count.
   size_t num_threads = 0;
 };
 

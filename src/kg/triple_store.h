@@ -116,12 +116,12 @@ class TripleStore {
   /// triple): each unset field is a wildcard. Returns pointers into the
   /// store, valid until the next mutation.
   struct TriplePattern {
-    std::optional<EntityId> subject;
-    std::optional<std::string> predicate;
+    std::optional<EntityId> subject = std::nullopt;
+    std::optional<std::string> predicate = std::nullopt;
     /// Matches literal objects equal to this value.
-    std::optional<Value> literal;
+    std::optional<Value> literal = std::nullopt;
     /// Matches entity-valued objects pointing at this entity.
-    std::optional<EntityId> object_entity;
+    std::optional<EntityId> object_entity = std::nullopt;
   };
   std::vector<const Triple*> Match(const TriplePattern& pattern) const;
 

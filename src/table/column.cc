@@ -455,57 +455,13 @@ uint64_t Column::ContentFingerprint() const {
   return h;
 }
 
-void Column::AppendFrom(const Column& src) {
-  MESA_CHECK(src.type_ == type_);
-  MESA_DCHECK(&src != this);
-  EnsureOwned();
-  const size_t n = src.size_;
-  valid_.insert(valid_.end(), src.valid_ptr_, src.valid_ptr_ + n);
-  switch (type_) {
-    case DataType::kDouble:
-      doubles_.insert(doubles_.end(), src.double_ptr_, src.double_ptr_ + n);
-      break;
-    case DataType::kInt64:
-      ints_.insert(ints_.end(), src.int_ptr_, src.int_ptr_ + n);
-      break;
-    case DataType::kString:
-      // An empty column adopts the source's dictionary; one sharing it
-      // copies codes verbatim; otherwise each source entry is re-interned
-      // once.
-      if (size_ == 0) dict_ = src.dict_;
-      if (dict_ == src.dict_) {
-        codes_.insert(codes_.end(), src.codes_ptr_, src.codes_ptr_ + n);
-      } else {
-        std::vector<uint32_t> remap(src.dict_->size(),
-                                    StringDictionary::kNotFound);
-        codes_.reserve(codes_.size() + n);
-        for (size_t r = 0; r < n; ++r) {
-          uint32_t& code = remap[src.codes_ptr_[r]];
-          if (code == StringDictionary::kNotFound) {
-            code = InternCode((*src.dict_)[src.codes_ptr_[r]]);
-          }
-          codes_.push_back(code);
-        }
-      }
-      break;
-    case DataType::kBool:
-      bools_.insert(bools_.end(), src.bool_ptr_, src.bool_ptr_ + n);
-      break;
-    case DataType::kNull:
-      break;
-  }
-  null_count_ += src.null_count_;
-  size_ += n;
-  SyncPointers();
-}
-
 namespace {
 
 // Fixed morsel for parallel gathers: a constant (never a function of the
 // thread count). Each chunk writes its own slice of the output, so the
-// result is the same bytes however the chunks are scheduled.
+// result is the same bytes however the chunks are scheduled; a gather
+// below one morsel runs on the calling thread.
 constexpr size_t kTakeChunkRows = 4096;
-constexpr size_t kTakeParallelThreshold = 4096;
 
 }  // namespace
 
@@ -544,10 +500,6 @@ Column Column::Gather(const std::vector<Index>& rows) const {
         dst[i] = live ? load(src[static_cast<size_t>(idx)]) : null_value;
       }
     };
-    if (n < kTakeParallelThreshold || !DataPlaneParallel()) {
-      chunk(0, n);
-      return;
-    }
     const size_t num_chunks = (n + kTakeChunkRows - 1) / kTakeChunkRows;
     ParallelFor(0, num_chunks, [&](size_t c) {
       CancelCheckpoint();

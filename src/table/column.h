@@ -19,10 +19,10 @@ namespace mesa {
 ///
 /// String columns are dictionary-coded: the payload is one `uint32_t` code
 /// per row into a `StringDictionary` of distinct strings, held through a
-/// `shared_ptr`. Copies, `Take` and `AppendFrom` copy codes and share the
-/// dictionary; a column that must add an entry to a dictionary it does
-/// not hold alone interns into a private copy first, so a shared
-/// dictionary is never mutated. Null rows always code the empty string.
+/// `shared_ptr`. Copies and `Take` copy codes and share the dictionary; a
+/// column that must add an entry to a dictionary it does not hold alone
+/// interns into a private copy first, so a shared dictionary is never
+/// mutated. Null rows always code the empty string.
 ///
 /// A column is in one of two storage modes:
 ///
@@ -128,14 +128,6 @@ class Column {
 
   /// Marks an existing slot null (used by missing-data injection).
   void SetNull(size_t row);
-
-  /// Appends every row of `src` (same type required), nulls included.
-  /// Validity and numeric payload runs are concatenated verbatim. A string
-  /// column that is empty or shares `src`'s dictionary copies codes; one
-  /// with a different dictionary re-interns each used entry once. Either
-  /// way the result reads, and fingerprints, as if the rows had been
-  /// appended one by one.
-  void AppendFrom(const Column& src);
 
   /// Gathers the given rows into a new (owned) column; null rows get the
   /// default payload. String columns copy codes and share the dictionary.

@@ -13,7 +13,7 @@ namespace mesa {
 /// codes into one of these.
 ///
 /// Columns hold their dictionary through a `shared_ptr` and share it
-/// freely (`Take`, `AppendFrom`, copies, a snapshot's borrowed columns).
+/// freely (`Take`, copies, a snapshot's borrowed columns).
 /// A shared dictionary is never mutated: a column that must add an entry
 /// to a dictionary it does not hold alone interns into a private copy
 /// first (see `Column`). Because entries are distinct, two rows of one

@@ -86,14 +86,12 @@ Table Table::TakeRows(const std::vector<size_t>& rows) const {
   out.schema_ = schema_;
   out.columns_.reserve(columns_.size());
   // Column gathers are independent, so large takes run one column per
-  // task; each column's output is identical to its serial Take.
-  if (columns_.size() > 1 && rows.size() >= 4096 && DataPlaneParallel()) {
-    for (const auto& col : columns_) out.columns_.emplace_back(col.type());
-    ParallelFor(0, columns_.size(),
-                [&](size_t c) { out.columns_[c] = columns_[c].Take(rows); });
-  } else {
-    for (const auto& col : columns_) out.columns_.push_back(col.Take(rows));
-  }
+  // task; small ones stay on one lane.
+  for (const auto& col : columns_) out.columns_.emplace_back(col.type());
+  ParallelFor(
+      0, columns_.size(),
+      [&](size_t c) { out.columns_[c] = columns_[c].Take(rows); },
+      rows.size() < 4096 ? 1 : 0);
   return out;
 }
 

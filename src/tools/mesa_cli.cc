@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -26,7 +27,6 @@
 #include "core/mesa.h"
 #include "core/report_format.h"
 #include "datagen/registry.h"
-#include "info/cmi_kernel.h"
 #include "info/info_cache.h"
 #include "kg/serialization.h"
 #include "snapshot/reader.h"
@@ -62,10 +62,6 @@ int Usage() {
                                            the entropy/MI/CMI kernels
                                            (default: $MESA_INFO_CACHE, or
                                            on; see docs/performance.md)
-      [--cmi-kernel auto|dense|packed|hash] force the MI/CMI kernel
-                                           (default: $MESA_CMI_KERNEL, or
-                                           auto = pick by key width; see
-                                           docs/architecture.md)
       [--fault-plan PLAN]                  inject KG endpoint faults, e.g.
                                            "seed=7;timeout=0.2;latency=1:5"
                                            (default: $MESA_FAULT_PLAN;
@@ -79,31 +75,42 @@ int Usage() {
 
 // Minimal --flag value parser; flags may appear once. Values attach
 // either as the next argument (`--k 5`) or inline (`--k=5`); flags that
-// are valid without a value (`--metrics`) default to "true".
+// are valid without a value (`--metrics`) default to "true". A flag the
+// subcommand does not list, or a non-integer or negative value for one of
+// its integer flags, is an error.
 class Flags {
  public:
-  Flags(int argc, char** argv, int start) {
-    for (int i = start; i < argc; ++i) {
+  Flags(int argc, char** argv, int start, const std::set<std::string>& known,
+        const std::set<std::string>& integers) {
+    for (int i = start; i < argc && error_.empty(); ++i) {
       std::string arg = argv[i];
       if (arg.rfind("--", 0) != 0) {
         error_ = "unexpected argument: " + arg;
-        return;
+        break;
       }
       std::string name = arg.substr(2);
+      std::string value = "true";
       size_t eq = name.find('=');
       if (eq != std::string::npos) {
-        values_[name.substr(0, eq)] = name.substr(eq + 1);
-        continue;
+        value = name.substr(eq + 1);
+        name = name.substr(0, eq);
+      } else if (name != "no-prune" && name != "trace" && name != "metrics") {
+        if (i + 1 >= argc) {
+          error_ = "flag --" + name + " needs a value";
+          break;
+        }
+        value = argv[++i];
       }
-      if (name == "no-prune" || name == "trace" || name == "metrics") {
-        values_[name] = "true";
-        continue;
+      if (known.count(name) == 0) {
+        error_ = "unknown flag --" + name;
+      } else if (integers.count(name) > 0) {
+        int64_t v = 0;
+        if (!ParseInt64(value, &v) || v < 0) {
+          error_ = "flag --" + name + " needs a non-negative integer, got '" +
+                   value + "'";
+        }
       }
-      if (i + 1 >= argc) {
-        error_ = "flag --" + name + " needs a value";
-        return;
-      }
-      values_[name] = argv[++i];
+      values_[name] = value;
     }
   }
 
@@ -113,6 +120,7 @@ class Flags {
     auto it = values_.find(name);
     return it == values_.end() ? dflt : it->second;
   }
+  // Integer flags were validated at parse time.
   int64_t GetInt(const std::string& name, int64_t dflt) const {
     auto it = values_.find(name);
     if (it == values_.end()) return dflt;
@@ -280,16 +288,6 @@ int RunExplain(const Flags& flags) {
     }
   }
 
-  if (flags.Has("cmi-kernel")) {
-    CmiKernel kernel = CmiKernel::kAuto;
-    if (!ParseCmiKernel(flags.Get("cmi-kernel"), &kernel)) {
-      std::fprintf(stderr,
-                   "--cmi-kernel must be auto, dense, packed, or hash\n");
-      return 1;
-    }
-    SetCmiKernelMode(kernel);
-  }
-
   MesaOptions options;
   options.extraction.hops = static_cast<size_t>(flags.GetInt("hops", 1));
   options.mcimr.max_size = static_cast<size_t>(flags.GetInt("k", 5));
@@ -370,15 +368,26 @@ int RunExplain(const Flags& flags) {
 
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  std::string command = argv[1];
-  Flags flags(argc, argv, 2);
+  const std::string command = argv[1];
+  std::set<std::string> known, integers;
+  if (command == "gen") {
+    known = {"dataset", "rows", "seed", "out"};
+    integers = {"rows", "seed"};
+  } else if (command == "explain") {
+    known = {"data",     "snapshot",   "save-snapshot", "query",
+             "kg",       "extract",    "k",             "hops",
+             "no-prune", "subgroups",  "baseline",      "trace",
+             "metrics",  "info-cache", "fault-plan",    "min-coverage"};
+    integers = {"k", "hops"};
+  } else {
+    return Usage();
+  }
+  Flags flags(argc, argv, 2, known, integers);
   if (!flags.error().empty()) {
     std::fprintf(stderr, "%s\n", flags.error().c_str());
     return Usage();
   }
-  if (command == "gen") return RunGen(flags);
-  if (command == "explain") return RunExplain(flags);
-  return Usage();
+  return command == "gen" ? RunGen(flags) : RunExplain(flags);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "core/baselines/top_k.h"
 #include "core/mcimr.h"
 #include "core/pruning.h"
+#include "label.h"
 #include "table/table_builder.h"
 
 namespace mesa {
@@ -41,7 +42,7 @@ World MakeWorld(size_t rows = 12000, uint64_t seed = 177) {
     double indiv = rng.NextGaussian();
     double outcome =
         3.0 * u[g] + 2.0 * v[g] + indiv + rng.NextGaussian(0, 0.4);
-    MESA_CHECK(b.AppendRow({Value::String("g" + std::to_string(g)),
+    MESA_CHECK(b.AppendRow({Value::String(Label("g", g)),
                             Value::Double(outcome), Value::Double(u[g]),
                             Value::Double(u[g] + 0.01 * noise[g]),
                             Value::Double(v[g]), Value::Double(noise[g]),
@@ -213,7 +214,7 @@ TEST(HypDb, NoConfoundersYieldsEmpty) {
                          {"o", DataType::kDouble},
                          {"attr", DataType::kDouble}}));
   for (int i = 0; i < 3000; ++i) {
-    MESA_CHECK(b.AppendRow({Value::String("g" + std::to_string(i % 8)),
+    MESA_CHECK(b.AppendRow({Value::String(Label("g", i % 8)),
                             Value::Double(rng.NextGaussian()),
                             Value::Double(rng.NextGaussian())})
                    .ok());

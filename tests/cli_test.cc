@@ -4,6 +4,7 @@
 // (e.g. when tests run from an unexpected working directory).
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -26,6 +27,12 @@ std::string CliPath() {
 // Runs a command, returns exit code; stdout lands in `out_path`.
 int RunCommand(const std::string& command) {
   return std::system(command.c_str());
+}
+
+// Runs a command and returns its exit code (-1 if it did not exit).
+int ExitCode(const std::string& command) {
+  const int status = std::system(command.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 std::string Slurp(const std::string& path) {
@@ -103,6 +110,41 @@ TEST(MesaCli, UsageAndErrorPaths) {
                        out + " 2>&1"),
             0);
   // Bad SQL -> exit 1.
+  const std::string csv = testing::TempDir() + "/mesa_cli_tiny.csv";
+  {
+    std::ofstream tiny(csv);
+    tiny << "a,b\nx,1\ny,2\nx,3\n";
+  }
+  const std::string sql = " --query \"SELECT a, avg(b) FROM t GROUP BY a\"";
+  EXPECT_EQ(ExitCode(cli + " explain --data " + csv +
+                     " --query \"SELEKT nothing\" > " + out + " 2>&1"),
+            1);
+  EXPECT_NE(Slurp(out).find("bad query"), std::string::npos);
+  // A flag the subcommand does not list -> exit 1, named in the error.
+  EXPECT_EQ(ExitCode(cli + " gen --rowz 10 > " + out + " 2>&1"), 1);
+  EXPECT_NE(Slurp(out).find("unknown flag --rowz"), std::string::npos);
+  EXPECT_EQ(ExitCode(cli + " explain --data " + csv + sql +
+                     " --cmi-kernl hash --k abc > " + out + " 2>&1"),
+            1);
+  EXPECT_NE(Slurp(out).find("unknown flag --cmi-kernl"), std::string::npos);
+  // A non-integer or negative integer value -> exit 1.
+  EXPECT_EQ(ExitCode(cli + " gen --dataset covid --rows abc --out " +
+                     testing::TempDir() + "/mesa_cli_never > " + out +
+                     " 2>&1"),
+            1);
+  EXPECT_NE(Slurp(out).find("--rows needs a non-negative integer"),
+            std::string::npos);
+  EXPECT_EQ(ExitCode(cli + " gen --dataset covid --rows -5 --out " +
+                     testing::TempDir() + "/mesa_cli_never > " + out +
+                     " 2>&1"),
+            1);
+  EXPECT_EQ(ExitCode(cli + " explain --data " + csv + sql + " --k abc > " +
+                     out + " 2>&1"),
+            1);
+  EXPECT_EQ(ExitCode(cli + " explain --data " + csv + sql + " --hops=1.5 > " +
+                     out + " 2>&1"),
+            1);
+  std::remove(csv.c_str());
   std::remove(out.c_str());
 }
 

@@ -8,6 +8,7 @@
 #include "core/mcimr.h"
 #include "core/pruning.h"
 #include "core/responsibility.h"
+#include "label.h"
 #include "table/table_builder.h"
 
 namespace mesa {
@@ -52,7 +53,7 @@ World MakeWorld(size_t rows = 12000, uint64_t seed = 77) {
     double indiv = rng.NextGaussian();
     double outcome = 3.0 * u[g] + 2.0 * v[g] + 1.0 * indiv +
                      rng.NextGaussian(0, 0.4);
-    MESA_CHECK(b.AppendRow({Value::String("g" + std::to_string(g)),
+    MESA_CHECK(b.AppendRow({Value::String(Label("g", g)),
                             Value::Double(outcome), Value::Double(u[g]),
                             Value::Double(u[g] + 0.01 * noise[g]),
                             Value::Double(v[g]),
@@ -269,7 +270,7 @@ TEST(OnlinePrune, RelevanceTestDropsPureIndividualNoise) {
   for (auto& m : mean) m = rng.NextGaussian();
   for (int i = 0; i < 4000; ++i) {
     size_t g = rng.NextBelow(10);
-    b.AppendRow({Value::String("g" + std::to_string(g)),
+    b.AppendRow({Value::String(Label("g", g)),
                  Value::Double(mean[g] + rng.NextGaussian(0, 0.3)),
                  Value::Double(rng.NextGaussian())})
         .ok();

@@ -208,7 +208,8 @@ std::vector<double> EstimatorBattery(uint64_t seed) {
   // Exact repeats: scalar memo hits.
   out.push_back(ConditionalMutualInformation(x, y, z, w));
   out.push_back(MutualInformation(x, y, w));
-  out.push_back(InteractionInformation(x, y, z, w));
+  // Commuted pair: served from the (x, y) cube by repacking.
+  out.push_back(MutualInformation(y, x, w));
   IndependenceResult ci = ConditionalIndependenceTest(x, y, z, ind);
   out.push_back(ci.cmi);
   out.push_back(ci.p_value);

@@ -5,6 +5,7 @@
 #include "kg/extractor.h"
 #include "kg/synthetic_kg.h"
 #include "kg/triple_store.h"
+#include "label.h"
 #include "table/csv.h"
 
 namespace mesa {
@@ -323,7 +324,7 @@ TEST(SyntheticKg, MissingRateDropsProperties) {
   TripleStore kg;
   SyntheticKgBuilder b(&kg, 2);
   for (int i = 0; i < 500; ++i) {
-    EntityId e = b.EnsureEntity("E" + std::to_string(i), "T");
+    EntityId e = b.EnsureEntity(Label("E", i), "T");
     b.AddNumeric(e, "p", 1.0, 0.4);
   }
   double present = static_cast<double>(kg.num_triples()) / 500.0;

@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "label.h"
 #include "missing/imputation.h"
 #include "missing/ipw.h"
 #include "missing/mask.h"
@@ -150,7 +151,7 @@ Table MakeBlockwiseWorld(size_t n, bool outcome_aligned, uint64_t seed) {
                          {"outcome", DataType::kDouble}}));
   for (size_t i = 0; i < n; ++i) {
     size_t g = rng.NextBelow(kGroups);
-    MESA_CHECK(b.AppendRow({Value::String("g" + std::to_string(g)),
+    MESA_CHECK(b.AppendRow({Value::String(Label("g", g)),
                             missing[g] ? Value::Null()
                                        : Value::Double(latent[g]),
                             Value::Double(2.0 * latent[g] +
@@ -410,13 +411,13 @@ Table IpwOracleWorld(uint64_t seed, size_t n) {
     };
     MESA_CHECK(
         b.AppendRow(
-             {cell(i == 3, Value::String("c" + std::to_string(city))),
+             {cell(i == 3, Value::String(Label("c", city))),
               cell(rng.NextBernoulli(0.05), Value::Double(delay)),
               Value::Int(rng.NextInt(1, 12)),
               cell(rng.NextBernoulli(0.3), Value::Double(rng.NextGaussian())),
               cell(delay > 6.0 && rng.NextBernoulli(0.7),
                    Value::Double(rng.NextGaussian())),
-              cell(city % 3 == 0, Value::String("s" + std::to_string(city)))})
+              cell(city % 3 == 0, Value::String(Label("s", city)))})
             .ok());
   }
   return *b.Finish();

@@ -1,15 +1,19 @@
-// Bit-identity tests for the morsel-driven parallel data plane: group-by
-// aggregation, hash join (including the reusable JoinIndex), TakeRows, and
-// per-value KG extraction must produce byte-identical outputs at 1, 2, and
-// 8 threads — and identical to the serial reference loops behind
-// SetDataPlaneParallel(false). Same pattern as parallel_test.cc; this
-// binary is a TSan target alongside it (see .github/workflows/ci.yml).
+// Tests for the morsel-driven data plane: hash join, TakeRows and per-value
+// KG extraction are checked against independent per-row references
+// (GetValue loops, and a synthetic KG whose attributes are known functions
+// of the key) at 1, 2 and 8 threads, and must be byte-identical across
+// thread counts. Inputs on both sides of each operator's one-lane
+// threshold are covered. Same pattern as parallel_test.cc; this binary is
+// a TSan target alongside it (see .github/workflows/ci.yml).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -18,23 +22,28 @@
 #include "kg/endpoint.h"
 #include "kg/extractor.h"
 #include "kg/resilient_client.h"
-#include "query/group_by.h"
 #include "query/join.h"
-#include "query/predicate.h"
 #include "table/table.h"
 
 namespace mesa {
 namespace {
 
-// Restores the global pool and the data-plane toggle when a test exits.
+// Restores the global pool when a test exits.
 struct PoolGuard {
-  ~PoolGuard() {
-    SetDataPlaneParallel(true);
-    SetNumThreads(1);
-  }
+  ~PoolGuard() { SetNumThreads(1); }
 };
 
 constexpr size_t kThreadCounts[] = {1, 2, 8};
+
+// A LocalEndpoint that cannot be cloned for extraction shards, so the
+// extractor scans every key through one shared client.
+class UncloneableEndpoint : public LocalEndpoint {
+ public:
+  using LocalEndpoint::LocalEndpoint;
+  std::shared_ptr<KgEndpoint> CloneForShard() const override {
+    return nullptr;
+  }
+};
 
 // A seeded random table big enough to cross the parallel thresholds:
 //   k_str  string key, ~20 distinct values (nullable)
@@ -79,21 +88,6 @@ Table MakeRandomTable(uint64_t seed, size_t rows, double null_rate) {
   return *t;
 }
 
-void ExpectGroupByEqual(const GroupByResult& a, const GroupByResult& b,
-                        const std::string& what) {
-  ASSERT_EQ(a.input_rows, b.input_rows) << what;
-  ASSERT_EQ(a.groups.size(), b.groups.size()) << what;
-  for (size_t g = 0; g < a.groups.size(); ++g) {
-    EXPECT_TRUE(a.groups[g].group == b.groups[g].group) << what << " g" << g;
-    EXPECT_TRUE(a.groups[g].values == b.groups[g].values) << what << " g" << g;
-    // Bitwise: the parallel path must preserve the serial FP accumulation
-    // order, not just be "close".
-    EXPECT_EQ(a.groups[g].aggregate, b.groups[g].aggregate)
-        << what << " g" << g;
-    EXPECT_EQ(a.groups[g].count, b.groups[g].count) << what << " g" << g;
-  }
-}
-
 void ExpectTablesEqual(const Table& a, const Table& b,
                        const std::string& what) {
   ASSERT_EQ(a.schema().ToString(), b.schema().ToString()) << what;
@@ -106,83 +100,65 @@ void ExpectTablesEqual(const Table& a, const Table& b,
   }
 }
 
-// ------------------------------------------------------------- group-by
+// ------------------------------------------------------------- hash join
 
-TEST(QueryParallel, GroupByBitIdenticalAcrossThreadCounts) {
-  PoolGuard guard;
-  const AggregateFunction aggs[] = {
-      AggregateFunction::kAvg, AggregateFunction::kSum,
-      AggregateFunction::kCount, AggregateFunction::kMedian,
-      AggregateFunction::kStdDev};
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
-    // Odd seeds are null-heavy (~40% null keys), even seeds mild.
-    const double null_rate = (seed % 2 == 1) ? 0.4 : 0.05;
-    Table table = MakeRandomTable(seed, 6000, null_rate);
-    const AggregateFunction agg = aggs[seed % 5];
+// Independent join reference: for each left row in order, the first right
+// row whose key is equal (null never matches), found through a std::map
+// of per-row GetValue keys; an inner join drops unmatched rows. Returns
+// (left row, right row or -1) pairs in output order.
+std::vector<std::pair<size_t, int64_t>> NaiveJoinRows(
+    const Table& left, const std::string& left_key, const Table& right,
+    const std::string& right_key, JoinType type) {
+  const Column& lk = **left.ColumnByName(left_key);
+  const Column& rk = **right.ColumnByName(right_key);
+  std::map<Value, int64_t> first;
+  for (size_t r = 0; r < right.num_rows(); ++r) {
+    if (!rk.IsNull(r)) first.emplace(rk.GetValue(r), static_cast<int64_t>(r));
+  }
+  std::vector<std::pair<size_t, int64_t>> out;
+  for (size_t r = 0; r < left.num_rows(); ++r) {
+    int64_t match = -1;
+    if (!lk.IsNull(r)) {
+      auto it = first.find(lk.GetValue(r));
+      if (it != first.end()) match = it->second;
+    }
+    if (match < 0 && type == JoinType::kInner) continue;
+    out.emplace_back(r, match);
+  }
+  return out;
+}
 
-    SetDataPlaneParallel(false);
-    SetNumThreads(1);
-    auto serial = GroupByAggregate(table, "k_str", "x", agg);
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    auto serial_multi = GroupByAggregate(
-        table, std::vector<std::string>{"k_str", "k_int"}, "x", agg);
-    ASSERT_TRUE(serial_multi.ok());
-
-    SetDataPlaneParallel(true);
-    for (size_t threads : kThreadCounts) {
-      SetNumThreads(threads);
-      auto parallel = GroupByAggregate(table, "k_str", "x", agg);
-      ASSERT_TRUE(parallel.ok());
-      ExpectGroupByEqual(*serial, *parallel,
-                         "seed " + std::to_string(seed) + " threads " +
-                             std::to_string(threads));
-      auto parallel_multi = GroupByAggregate(
-          table, std::vector<std::string>{"k_str", "k_int"}, "x", agg);
-      ASSERT_TRUE(parallel_multi.ok());
-      ExpectGroupByEqual(*serial_multi, *parallel_multi,
-                         "multi seed " + std::to_string(seed) + " threads " +
-                             std::to_string(threads));
+// Checks every cell of `joined` against the reference row pairs: left
+// columns first, then the right columns minus its key, unmatched right
+// cells null.
+void ExpectJoinMatchesReference(const Table& joined, const Table& left,
+                                const std::string& left_key,
+                                const Table& right,
+                                const std::string& right_key, JoinType type,
+                                const std::string& what) {
+  const auto rows = NaiveJoinRows(left, left_key, right, right_key, type);
+  ASSERT_EQ(joined.num_rows(), rows.size()) << what;
+  ASSERT_EQ(joined.num_columns(), left.num_columns() + right.num_columns() - 1)
+      << what;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const auto [lrow, rrow] = rows[i];
+    size_t out_col = 0;
+    for (size_t c = 0; c < left.num_columns(); ++c, ++out_col) {
+      ASSERT_TRUE(joined.column(out_col).GetValue(i) ==
+                  left.column(c).GetValue(lrow))
+          << what << " row " << i << " left col " << c;
+    }
+    for (size_t c = 0; c < right.num_columns(); ++c) {
+      if (right.schema().field(c).name == right_key) continue;
+      const Value want = rrow < 0 ? Value::Null()
+                                  : right.column(c).GetValue(
+                                        static_cast<size_t>(rrow));
+      ASSERT_TRUE(joined.column(out_col).GetValue(i) == want)
+          << what << " row " << i << " right col " << c;
+      ++out_col;
     }
   }
 }
-
-TEST(QueryParallel, GroupByWithContextAndEmptyResult) {
-  PoolGuard guard;
-  Table table = MakeRandomTable(7, 8000, 0.3);
-
-  // A context that matches a slice of the input.
-  Conjunction some;
-  some.Add({"k_int", CompareOp::kLe, Value::Int(5), {}});
-  // A context that matches nothing: every group is empty.
-  Conjunction none;
-  none.Add({"k_str", CompareOp::kEq, Value::String("no_such_key"), {}});
-
-  SetDataPlaneParallel(false);
-  SetNumThreads(1);
-  auto serial_some =
-      GroupByAggregate(table, "k_str", "x", AggregateFunction::kAvg, some);
-  auto serial_none =
-      GroupByAggregate(table, "k_str", "x", AggregateFunction::kAvg, none);
-  ASSERT_TRUE(serial_some.ok());
-  ASSERT_TRUE(serial_none.ok());
-  EXPECT_EQ(serial_none->input_rows, 0u);
-  EXPECT_TRUE(serial_none->groups.empty());
-
-  SetDataPlaneParallel(true);
-  for (size_t threads : kThreadCounts) {
-    SetNumThreads(threads);
-    auto par_some =
-        GroupByAggregate(table, "k_str", "x", AggregateFunction::kAvg, some);
-    auto par_none =
-        GroupByAggregate(table, "k_str", "x", AggregateFunction::kAvg, none);
-    ASSERT_TRUE(par_some.ok());
-    ASSERT_TRUE(par_none.ok());
-    ExpectGroupByEqual(*serial_some, *par_some, "context slice");
-    ExpectGroupByEqual(*serial_none, *par_none, "empty context");
-  }
-}
-
-// ------------------------------------------------------------- hash join
 
 // Right side: one row per key plus deliberate duplicates and null keys.
 Table MakeRightTable(uint64_t seed) {
@@ -211,196 +187,70 @@ Table MakeRightTable(uint64_t seed) {
   return *t;
 }
 
+// Left sides of 6000 rows run the morsel build/probe/gather on the whole
+// pool; every fifth seed uses 1500 rows, below the one-lane threshold.
 TEST(QueryParallel, HashJoinBitIdenticalAcrossThreadCounts) {
   PoolGuard guard;
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     const double null_rate = (seed % 2 == 1) ? 0.4 : 0.05;
-    Table left = MakeRandomTable(seed, 6000, null_rate);
+    Table left = MakeRandomTable(seed, seed % 5 == 0 ? 1500 : 6000, null_rate);
     Table right = MakeRightTable(seed + 100);
 
     for (JoinType type : {JoinType::kLeft, JoinType::kInner}) {
       JoinOptions options;
       options.type = type;
-      SetDataPlaneParallel(false);
-      SetNumThreads(1);
-      auto serial = HashJoin(left, "k_str", right, "k_str", options);
-      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-
-      SetDataPlaneParallel(true);
+      std::unique_ptr<Table> first;
       for (size_t threads : kThreadCounts) {
         SetNumThreads(threads);
-        auto parallel = HashJoin(left, "k_str", right, "k_str", options);
-        ASSERT_TRUE(parallel.ok());
-        ExpectTablesEqual(*serial, *parallel,
-                          "seed " + std::to_string(seed) + " threads " +
-                              std::to_string(threads) + " type " +
-                              (type == JoinType::kLeft ? "left" : "inner"));
+        auto joined = HashJoin(left, "k_str", right, "k_str", options);
+        ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+        const std::string what =
+            "seed " + std::to_string(seed) + " threads " +
+            std::to_string(threads) + " type " +
+            (type == JoinType::kLeft ? "left" : "inner");
+        ExpectJoinMatchesReference(*joined, left, "k_str", right, "k_str",
+                                   type, what);
+        if (first == nullptr) {
+          first = std::make_unique<Table>(std::move(*joined));
+        } else {
+          ExpectTablesEqual(*first, *joined, what);
+        }
       }
     }
   }
 }
 
-TEST(QueryParallel, JoinIndexReuseMatchesDirectJoin) {
-  PoolGuard guard;
-  SetNumThreads(8);
-  Table left_a = MakeRandomTable(3, 6000, 0.2);
-  Table left_b = MakeRandomTable(4, 5000, 0.2);
-  Table right = MakeRightTable(42);
-
-  auto index = JoinIndex::Build(right, "k_str");
-  ASSERT_TRUE(index.ok());
-  EXPECT_GT(index->duplicate_keys(), 0u);
-
-  for (const Table* left : {&left_a, &left_b}) {
-    auto direct = HashJoin(*left, "k_str", right, "k_str");
-    auto reused = HashJoin(*left, "k_str", *index);
-    ASSERT_TRUE(direct.ok());
-    ASSERT_TRUE(reused.ok());
-    ExpectTablesEqual(*direct, *reused, "index reuse");
-  }
-}
-
+// A large take (several morsels, one task per column) and a small one
+// (one lane), against per-row GetValue.
 TEST(QueryParallel, TakeRowsBitIdenticalAcrossThreadCounts) {
   PoolGuard guard;
   Table table = MakeRandomTable(11, 9000, 0.3);
   Rng rng(99);
-  std::vector<size_t> rows;
-  for (size_t i = 0; i < 7000; ++i) {
-    rows.push_back(static_cast<size_t>(rng.NextBelow(table.num_rows())));
-  }
-
-  SetDataPlaneParallel(false);
-  SetNumThreads(1);
-  Table serial = table.TakeRows(rows);
-
-  SetDataPlaneParallel(true);
-  for (size_t threads : kThreadCounts) {
-    SetNumThreads(threads);
-    Table parallel = table.TakeRows(rows);
-    ExpectTablesEqual(serial, parallel,
-                      "TakeRows threads " + std::to_string(threads));
-  }
-}
-
-// ------------------------------------------------------------- extraction
-
-void ExpectStatsEqual(const ExtractionStats& a, const ExtractionStats& b) {
-  EXPECT_EQ(a.values_total, b.values_total);
-  EXPECT_EQ(a.values_linked, b.values_linked);
-  EXPECT_EQ(a.values_ambiguous, b.values_ambiguous);
-  EXPECT_EQ(a.values_not_found, b.values_not_found);
-  EXPECT_EQ(a.values_failed, b.values_failed);
-  EXPECT_EQ(a.attributes_extracted, b.attributes_extracted);
-}
-
-TEST(QueryParallel, ExtractionBitIdenticalAcrossThreadCounts) {
-  PoolGuard guard;
-  auto ds = MakeDataset(DatasetKind::kCovid, GenOptions{});
-  ASSERT_TRUE(ds.ok());
-  ExtractionOptions options;
-  options.hops = 2;
-
-  for (const std::string& column : {std::string("Country"),
-                                    std::string("WHO_Region")}) {
-    // Serial references: the raw TripleStore walk and the shared-client
-    // loop with the data plane off.
-    SetDataPlaneParallel(false);
-    SetNumThreads(1);
-    ExtractionStats store_stats;
-    auto store_serial =
-        ExtractAttributes(ds->table, column, *ds->kg, options, &store_stats);
-    ASSERT_TRUE(store_serial.ok()) << store_serial.status().ToString();
-    ResilientKgClient serial_client(
-        std::make_shared<LocalEndpoint>(ds->kg.get()));
-    ExtractionStats client_stats;
-    auto client_serial = ExtractAttributes(ds->table, column, &serial_client,
-                                           options, &client_stats);
-    ASSERT_TRUE(client_serial.ok());
-    // Fault-free client extraction matches the raw TripleStore walk.
-    ExpectTablesEqual(*store_serial, *client_serial, "client vs store");
-    ExpectStatsEqual(store_stats, client_stats);
-
-    SetDataPlaneParallel(true);
+  for (size_t take : {7000, 900}) {
+    std::vector<size_t> rows;
+    for (size_t i = 0; i < take; ++i) {
+      rows.push_back(static_cast<size_t>(rng.NextBelow(table.num_rows())));
+    }
     for (size_t threads : kThreadCounts) {
       SetNumThreads(threads);
-      ExtractionStats par_store_stats;
-      auto store_parallel = ExtractAttributes(ds->table, column, *ds->kg,
-                                              options, &par_store_stats);
-      ASSERT_TRUE(store_parallel.ok());
-      ExpectTablesEqual(*store_serial, *store_parallel,
-                        "store threads " + std::to_string(threads));
-      ExpectStatsEqual(store_stats, par_store_stats);
-
-      ResilientKgClient client(std::make_shared<LocalEndpoint>(ds->kg.get()));
-      ASSERT_TRUE(client.SupportsSharding());
-      ExtractionStats par_client_stats;
-      auto client_parallel = ExtractAttributes(ds->table, column, &client,
-                                               options, &par_client_stats);
-      ASSERT_TRUE(client_parallel.ok());
-      ExpectTablesEqual(*client_serial, *client_parallel,
-                        "client threads " + std::to_string(threads));
-      ExpectStatsEqual(client_stats, par_client_stats);
+      Table taken = table.TakeRows(rows);
+      const std::string what = "TakeRows " + std::to_string(take) +
+                               " threads " + std::to_string(threads);
+      ASSERT_EQ(taken.schema().ToString(), table.schema().ToString()) << what;
+      ASSERT_EQ(taken.num_rows(), rows.size()) << what;
+      for (size_t c = 0; c < table.num_columns(); ++c) {
+        for (size_t i = 0; i < rows.size(); ++i) {
+          ASSERT_TRUE(taken.column(c).GetValue(i) ==
+                      table.column(c).GetValue(rows[i]))
+              << what << " col " << c << " row " << i;
+        }
+      }
     }
   }
 }
 
-// ------------------------------------------- high-cardinality tails
-
-// Thousands of distinct groups push group-by's phase 3 past the merge
-// threshold and into the sliced parallel merge + finalize, which must
-// stay bit-identical to the serial fold.
-TEST(QueryParallel, GroupByHighCardinalityBitIdentical) {
-  PoolGuard guard;
-  const AggregateFunction aggs[] = {AggregateFunction::kAvg,
-                                    AggregateFunction::kSum,
-                                    AggregateFunction::kStdDev,
-                                    AggregateFunction::kMedian};
-  for (uint64_t seed = 1; seed <= 4; ++seed) {
-    Rng rng(seed * 31);
-    Column key(DataType::kString);
-    Column x(DataType::kDouble);
-    const size_t rows = 30000;
-    for (size_t r = 0; r < rows; ++r) {
-      if (rng.NextBernoulli(0.02)) {
-        key.AppendNull();
-      } else {
-        key.AppendString("g_" + std::to_string(rng.NextBelow(3000)));
-      }
-      if (rng.NextBernoulli(0.05)) {
-        x.AppendNull();
-      } else {
-        x.AppendDouble(rng.NextGaussian(5.0, 2.0));
-      }
-    }
-    Schema schema;
-    ASSERT_TRUE(schema.AddField({"key", DataType::kString}).ok());
-    ASSERT_TRUE(schema.AddField({"x", DataType::kDouble}).ok());
-    auto table = Table::Make(std::move(schema), {std::move(key), std::move(x)});
-    ASSERT_TRUE(table.ok());
-    const AggregateFunction agg = aggs[seed % 4];
-
-    SetDataPlaneParallel(false);
-    SetNumThreads(1);
-    auto serial = GroupByAggregate(*table, "key", "x", agg);
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    EXPECT_GT(serial->groups.size(), 1000u)
-        << "dataset failed to cross the parallel-merge threshold";
-
-    SetDataPlaneParallel(true);
-    for (size_t threads : kThreadCounts) {
-      SetNumThreads(threads);
-      auto parallel = GroupByAggregate(*table, "key", "x", agg);
-      ASSERT_TRUE(parallel.ok());
-      ExpectGroupByEqual(*serial, *parallel,
-                         "wide seed " + std::to_string(seed) + " threads " +
-                             std::to_string(threads));
-    }
-  }
-}
-
-// A single kept right-side column over a large probe: the fragment
-// gather must parallelize inside the one column (the old per-column
-// split had nothing to do here) and still assemble byte-identically.
+// A single kept right-side column over a large probe: the gather must
+// parallelize inside the one column and still match the reference.
 TEST(QueryParallel, HashJoinLargeSingleColumnBitIdentical) {
   PoolGuard guard;
   Rng rng(555);
@@ -442,38 +292,103 @@ TEST(QueryParallel, HashJoinLargeSingleColumnBitIdentical) {
   for (JoinType type : {JoinType::kLeft, JoinType::kInner}) {
     JoinOptions options;
     options.type = type;
-    SetDataPlaneParallel(false);
-    SetNumThreads(1);
-    auto serial = HashJoin(*left, "k", *right, "k", options);
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-
-    SetDataPlaneParallel(true);
     for (size_t threads : kThreadCounts) {
       SetNumThreads(threads);
-      auto parallel = HashJoin(*left, "k", *right, "k", options);
-      ASSERT_TRUE(parallel.ok());
-      ExpectTablesEqual(*serial, *parallel,
-                        "single-col join threads " + std::to_string(threads) +
-                            (type == JoinType::kLeft ? " left" : " inner"));
+      auto joined = HashJoin(*left, "k", *right, "k", options);
+      ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+      ExpectJoinMatchesReference(
+          *joined, *left, "k", *right, "k", type,
+          "single-col join threads " + std::to_string(threads) +
+              (type == JoinType::kLeft ? " left" : " inner"));
     }
   }
 }
 
-// A synthetic KG with ~1500 linkable entities: enough distinct key
-// values to push AssembleSlots past its parallel threshold, with mixed
-// outcomes (linked / not-found / null) and a type-inferred mixed
-// attribute, all of which must replay byte-identically in parallel.
+// ------------------------------------------------------------- extraction
+
+void ExpectStatsEqual(const ExtractionStats& a, const ExtractionStats& b) {
+  EXPECT_EQ(a.values_total, b.values_total);
+  EXPECT_EQ(a.values_linked, b.values_linked);
+  EXPECT_EQ(a.values_ambiguous, b.values_ambiguous);
+  EXPECT_EQ(a.values_not_found, b.values_not_found);
+  EXPECT_EQ(a.values_failed, b.values_failed);
+  EXPECT_EQ(a.attributes_extracted, b.attributes_extracted);
+}
+
+// The covid KG at two hops (under the one-lane replay threshold): the raw
+// TripleStore walk, the sharded client and the shared-client scan of an
+// endpoint that cannot clone all agree, at every thread count.
+TEST(QueryParallel, ExtractionBitIdenticalAcrossThreadCounts) {
+  PoolGuard guard;
+  auto ds = MakeDataset(DatasetKind::kCovid, GenOptions{});
+  ASSERT_TRUE(ds.ok());
+  ExtractionOptions options;
+  options.hops = 2;
+
+  for (const std::string& column : {std::string("Country"),
+                                    std::string("WHO_Region")}) {
+    SetNumThreads(1);
+    ExtractionStats ref_stats;
+    auto reference =
+        ExtractAttributes(ds->table, column, *ds->kg, options, &ref_stats);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+    for (size_t threads : kThreadCounts) {
+      SetNumThreads(threads);
+      const std::string what =
+          column + " threads " + std::to_string(threads);
+      ExtractionStats store_stats;
+      auto store = ExtractAttributes(ds->table, column, *ds->kg, options,
+                                     &store_stats);
+      ASSERT_TRUE(store.ok());
+      ExpectTablesEqual(*reference, *store, "store " + what);
+      ExpectStatsEqual(ref_stats, store_stats);
+
+      ResilientKgClient sharded(std::make_shared<LocalEndpoint>(ds->kg.get()));
+      ASSERT_TRUE(sharded.SupportsSharding());
+      ExtractionStats sharded_stats;
+      auto via_shards = ExtractAttributes(ds->table, column, &sharded,
+                                          options, &sharded_stats);
+      ASSERT_TRUE(via_shards.ok());
+      ExpectTablesEqual(*reference, *via_shards, "sharded client " + what);
+      ExpectStatsEqual(ref_stats, sharded_stats);
+
+      ResilientKgClient shared(
+          std::make_shared<UncloneableEndpoint>(ds->kg.get()));
+      ASSERT_FALSE(shared.SupportsSharding());
+      ExtractionStats shared_stats;
+      auto via_shared = ExtractAttributes(ds->table, column, &shared, options,
+                                          &shared_stats);
+      ASSERT_TRUE(via_shared.ok());
+      ExpectTablesEqual(*reference, *via_shared, "shared client " + what);
+      ExpectStatsEqual(ref_stats, shared_stats);
+    }
+  }
+}
+
+// A synthetic KG of 1500 entities whose attributes are known functions of
+// the entity index e ("ent_<e>"):
+//   population = 0.5 * e + 1              (every entity)
+//   region     = "reg_<e % 11>"           (only when e % 3 != 0)
+//   mixed      = double e if e is even, "m<e>" if odd (so the column
+//                infers as string and even entities hold the double's
+//                text)
+// Keys "missing_<k>" link to nothing. Enough distinct keys push the slot
+// replay past its one-lane threshold; every extracted cell is checked
+// against the functions above, at every thread count, for the raw
+// TripleStore walk and the sharded client.
 TEST(QueryParallel, ExtractionHighCardinalityBitIdentical) {
   PoolGuard guard;
   TripleStore store;
-  Rng rng(808);
   const size_t entities = 1500;
   for (size_t e = 0; e < entities; ++e) {
     auto id = store.AddEntity("ent_" + std::to_string(e), "Thing");
     ASSERT_TRUE(id.ok());
-    ASSERT_TRUE(
-        store.AddLiteral(*id, "population", Value::Double(rng.NextGaussian()))
-            .ok());
+    ASSERT_TRUE(store
+                    .AddLiteral(*id, "population",
+                                Value::Double(0.5 * static_cast<double>(e) +
+                                              1.0))
+                    .ok());
     if (e % 3 != 0) {
       ASSERT_TRUE(store
                       .AddLiteral(*id, "region",
@@ -481,8 +396,6 @@ TEST(QueryParallel, ExtractionHighCardinalityBitIdentical) {
                                                 std::to_string(e % 11)))
                       .ok());
     }
-    // Mixed-type predicate: numeric for some entities, string for others
-    // (the universal relation must infer kString deterministically).
     if (e % 2 == 0) {
       ASSERT_TRUE(
           store.AddLiteral(*id, "mixed", Value::Double(double(e))).ok());
@@ -493,6 +406,7 @@ TEST(QueryParallel, ExtractionHighCardinalityBitIdentical) {
     }
   }
 
+  Rng rng(808);
   Column key(DataType::kString);
   for (size_t r = 0; r < 12000; ++r) {
     if (rng.NextBernoulli(0.03)) {
@@ -503,30 +417,77 @@ TEST(QueryParallel, ExtractionHighCardinalityBitIdentical) {
       key.AppendString("ent_" + std::to_string(rng.NextBelow(entities)));
     }
   }
+  // Distinct non-null keys, the extraction's row set and order.
+  std::set<std::string> distinct;
+  for (size_t r = 0; r < key.size(); ++r) {
+    if (!key.IsNull(r)) distinct.insert(key.GetValue(r).string_value());
+  }
+  size_t linked = 0;
+  for (const std::string& k : distinct) linked += k.rfind("ent_", 0) == 0;
+  ASSERT_GT(linked, 1000u) << "too few keys to cross the replay threshold";
+  ASSERT_LT(linked, distinct.size());
+
   Schema schema;
   ASSERT_TRUE(schema.AddField({"key", DataType::kString}).ok());
   auto table = Table::Make(std::move(schema), {std::move(key)});
   ASSERT_TRUE(table.ok());
 
-  ExtractionOptions options;
-  SetDataPlaneParallel(false);
-  SetNumThreads(1);
-  ExtractionStats serial_stats;
-  auto serial = ExtractAttributes(*table, "key", store, options, &serial_stats);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  EXPECT_GT(serial_stats.values_linked, 1000u)
-      << "dataset failed to cross the parallel-assembly threshold";
-  EXPECT_GT(serial_stats.values_not_found, 0u);
+  auto check = [&](const Table& out, const ExtractionStats& stats,
+                   const std::string& what) {
+    EXPECT_EQ(stats.values_total, distinct.size()) << what;
+    EXPECT_EQ(stats.values_linked, linked) << what;
+    EXPECT_EQ(stats.values_not_found, distinct.size() - linked) << what;
+    EXPECT_EQ(stats.values_failed, 0u) << what;
+    ASSERT_EQ(out.schema().ToString(),
+              "key:string, mixed:string, population:double, region:string")
+        << what;
+    ASSERT_EQ(out.num_rows(), distinct.size()) << what;
+    size_t r = 0;
+    for (const std::string& k : distinct) {
+      ASSERT_EQ(out.column(0).GetValue(r).string_value(), k) << what;
+      const Value mixed = out.column(1).GetValue(r);
+      const Value population = out.column(2).GetValue(r);
+      const Value region = out.column(3).GetValue(r);
+      if (k.rfind("ent_", 0) != 0) {
+        EXPECT_TRUE(mixed.is_null() && population.is_null() &&
+                    region.is_null())
+            << what << " key " << k;
+      } else {
+        const size_t e = std::stoul(k.substr(4));
+        EXPECT_EQ(population.double_value(),
+                  0.5 * static_cast<double>(e) + 1.0)
+            << what << " key " << k;
+        if (e % 3 != 0) {
+          EXPECT_EQ(region.string_value(), "reg_" + std::to_string(e % 11))
+              << what << " key " << k;
+        } else {
+          EXPECT_TRUE(region.is_null()) << what << " key " << k;
+        }
+        EXPECT_EQ(mixed.string_value(),
+                  e % 2 == 0 ? Value::Double(double(e)).ToString()
+                             : "m" + std::to_string(e))
+            << what << " key " << k;
+      }
+      ++r;
+    }
+  };
 
-  SetDataPlaneParallel(true);
+  ExtractionOptions options;
   for (size_t threads : kThreadCounts) {
     SetNumThreads(threads);
-    ExtractionStats stats;
-    auto parallel = ExtractAttributes(*table, "key", store, options, &stats);
-    ASSERT_TRUE(parallel.ok());
-    ExpectTablesEqual(*serial, *parallel,
-                      "wide extraction threads " + std::to_string(threads));
-    ExpectStatsEqual(serial_stats, stats);
+    const std::string what = "threads " + std::to_string(threads);
+    ExtractionStats store_stats;
+    auto from_store =
+        ExtractAttributes(*table, "key", store, options, &store_stats);
+    ASSERT_TRUE(from_store.ok()) << from_store.status().ToString();
+    check(*from_store, store_stats, "store " + what);
+
+    ResilientKgClient client(std::make_shared<LocalEndpoint>(&store));
+    ExtractionStats client_stats;
+    auto from_client =
+        ExtractAttributes(*table, "key", &client, options, &client_stats);
+    ASSERT_TRUE(from_client.ok()) << from_client.status().ToString();
+    check(*from_client, client_stats, "client " + what);
   }
 }
 

@@ -48,8 +48,10 @@ TEST(ReportFormat, TraceToggle) {
 
 TEST(ReportFormat, EmptyExplanationRendersPlaceholder) {
   MesaReport rep;
-  rep.query.exposure = "T";
-  rep.query.outcome = "O";
+  // Assigned as std::string: gcc 12 reports a false -Wrestrict on the
+  // inlined const char* assignment.
+  rep.query.exposure = std::string("T");
+  rep.query.outcome = std::string("O");
   rep.base_cmi = 1.0;
   rep.final_cmi = 1.0;
   std::string text = FormatReport(rep);
@@ -59,8 +61,8 @@ TEST(ReportFormat, EmptyExplanationRendersPlaceholder) {
 
 TEST(ReportFormat, NegativeResponsibilityMarked) {
   MesaReport rep;
-  rep.query.exposure = "T";
-  rep.query.outcome = "O";
+  rep.query.exposure = std::string("T");
+  rep.query.outcome = std::string("O");
   rep.base_cmi = 1.0;
   rep.final_cmi = 0.4;
   AttributeResponsibility good;

@@ -108,7 +108,9 @@ class ServeCancelTest : public ::testing::Test {
     spec.kg_path = *kg_path_;
     spec.extraction_columns = {"Country", "WHO_Region"};
     ASSERT_TRUE(router->AddDataset(spec).ok());
-    if (warm) ASSERT_TRUE(router->WarmStart().ok());
+    if (warm) {
+      ASSERT_TRUE(router->WarmStart().ok());
+    }
   }
 
   static std::string* csv_path_;

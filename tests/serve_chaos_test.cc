@@ -96,7 +96,9 @@ class ServeChaosTest : public ::testing::Test {
     spec.extraction_columns = {"Country", "WHO_Region"};
     spec.options.fault_plan = fault_plan;
     ASSERT_TRUE(router->AddDataset(spec).ok());
-    if (warm) ASSERT_TRUE(router->WarmStart().ok());
+    if (warm) {
+      ASSERT_TRUE(router->WarmStart().ok());
+    }
   }
 
   static std::string* csv_path_;

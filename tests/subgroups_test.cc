@@ -3,6 +3,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "core/subgroups.h"
+#include "label.h"
 #include "table/table_builder.h"
 
 namespace mesa {
@@ -19,7 +20,7 @@ Table MakeRegionWorld(size_t rows = 12000, uint64_t seed = 31) {
   for (size_t g = 0; g < kGroups; ++g) {
     conf[g] = rng.NextGaussian();
     hidden[g] = rng.NextGaussian();
-    region[g] = "R" + std::to_string(g % 3);
+    region[g] = Label("R", g % 3);
   }
   TableBuilder b(Schema({{"group", DataType::kString},
                          {"region", DataType::kString},
@@ -33,7 +34,7 @@ Table MakeRegionWorld(size_t rows = 12000, uint64_t seed = 31) {
     double outcome = region[g] == "R0"
                          ? 3.0 * hidden[g] + rng.NextGaussian(0, 0.3)
                          : 3.0 * conf[g] + rng.NextGaussian(0, 0.3);
-    MESA_CHECK(b.AppendRow({Value::String("g" + std::to_string(g)),
+    MESA_CHECK(b.AppendRow({Value::String(Label("g", g)),
                             Value::String(region[g]),
                             Value::String(i % 2 == 0 ? "even" : "odd"),
                             Value::Double(conf[g]), Value::Double(outcome)})
