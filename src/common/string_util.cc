@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 
 namespace mesa {
@@ -69,7 +70,61 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   return true;
 }
 
+namespace {
+
+bool IsSpace(char c) { return std::isspace(static_cast<unsigned char>(c)); }
+
+constexpr double kPow10[] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
+                             1e8,  1e9,  1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+                             1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+// Clinger's fast path: a plain decimal -?[0-9]*(\.[0-9]*)? with at least one
+// digit, at most 15 significant digits and at most 22 fraction digits is
+// m / 10^f where both m and 10^f are exact doubles, so one IEEE division
+// rounds it exactly as strtod does. Any other spelling returns false.
+bool FastDecimal(std::string_view s, double* out) {
+  const bool negative = !s.empty() && s[0] == '-';
+  uint64_t mantissa = 0;
+  int significant = 0, fraction = 0, digits = 0;
+  bool dot = false;
+  for (size_t i = negative ? 1 : 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c >= '0' && c <= '9') {
+      ++digits;
+      fraction += dot;
+      if (mantissa == 0 && c == '0') continue;  // a leading zero
+      if (++significant > 15) return false;
+      mantissa = mantissa * 10 + static_cast<uint64_t>(c - '0');
+    } else if (c == '.' && !dot) {
+      dot = true;
+    } else {
+      return false;
+    }
+  }
+  if (digits == 0 || fraction > 22) return false;
+  const double v = static_cast<double>(mantissa) / kPow10[fraction];
+  *out = negative ? -v : v;
+  return true;
+}
+
+// False only when strtod rejects `s` for certain: it starts with neither
+// whitespace, a sign, a digit, a dot, "inf" nor "nan" (in any case).
+bool MaybeNumber(std::string_view s) {
+  if (s.empty()) return false;
+  const char c = s[0];
+  if (IsSpace(c) || c == '+' || c == '-' || c == '.' ||
+      (c >= '0' && c <= '9')) {
+    return true;
+  }
+  const std::string_view head = s.substr(0, 3);
+  return EqualsIgnoreCase(head, "inf") || EqualsIgnoreCase(head, "nan");
+}
+
+}  // namespace
+
 bool ParseDouble(std::string_view s, double* out) {
+  if (FastDecimal(s, out)) return true;
+  if (!MaybeNumber(s)) return false;
   s = StripWhitespace(s);
   if (s.empty()) return false;
   std::string buf(s);
@@ -82,6 +137,13 @@ bool ParseDouble(std::string_view s, double* out) {
 }
 
 bool ParseInt64(std::string_view s, int64_t* out) {
+  // The usual spelling, -?[0-9]+, parses (or overflows) exactly through
+  // std::from_chars; strtoll is left only a '+' sign or whitespace to
+  // accept beyond it.
+  const char* last = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), last, *out);
+  if (ptr == last) return ec == std::errc();
+  if (s[0] != '+' && !IsSpace(s[0]) && !IsSpace(s.back())) return false;
   s = StripWhitespace(s);
   if (s.empty()) return false;
   std::string buf(s);

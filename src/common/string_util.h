@@ -28,10 +28,14 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 /// Case-insensitive equality over ASCII.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
-/// Parses a double; returns false on any trailing garbage or empty input.
+/// Parses a double as strtod does after stripping surrounding whitespace
+/// (bit-exact, including hex, inf and nan); returns false on any trailing
+/// garbage, empty input, overflow or underflow. Short plain decimals take
+/// an exact fast path that skips strtod.
 bool ParseDouble(std::string_view s, double* out);
 
-/// Parses a signed 64-bit integer; returns false on overflow or garbage.
+/// Parses a signed 64-bit integer as strtoll (base 10) does after
+/// stripping surrounding whitespace; returns false on overflow or garbage.
 bool ParseInt64(std::string_view s, int64_t* out);
 
 /// Normalises an entity label for matching: lower-case, collapse runs of

@@ -95,18 +95,28 @@ Value CollapseValues(const std::vector<Value>& values,
 using ExtractedRows =
     std::vector<std::pair<std::string, std::map<std::string, Value>>>;
 
-// Distinct non-null key values of a string column, sorted for determinism.
-Result<std::set<std::string>> DistinctKeys(const Table& table,
-                                           const std::string& column) {
+// Distinct non-null key values of a string column, sorted for determinism:
+// the dictionary entries some valid row codes to. Entries are distinct, so
+// no two keys compare equal.
+Result<std::vector<std::string>> DistinctKeys(const Table& table,
+                                              const std::string& column) {
   MESA_ASSIGN_OR_RETURN(const Column* keys, table.ColumnByName(column));
   if (keys->type() != DataType::kString) {
     return Status::InvalidArgument(
         "extraction column must be string-valued: " + column);
   }
-  std::set<std::string> distinct;
+  const StringDictionary& dict = keys->dictionary();
+  const uint8_t* valid = keys->validity_data();
+  const uint32_t* codes = keys->string_codes();
+  std::vector<uint8_t> present(dict.size(), 0);
   for (size_t r = 0; r < keys->size(); ++r) {
-    if (keys->IsValid(r)) distinct.insert(keys->StringAt(r));
+    if (valid[r]) present[codes[r]] = 1;
   }
+  std::vector<std::string> distinct;
+  for (uint32_t c = 0; c < dict.size(); ++c) {
+    if (present[c]) distinct.push_back(dict[c]);
+  }
+  std::sort(distinct.begin(), distinct.end());
   return distinct;
 }
 
@@ -329,9 +339,8 @@ Result<Table> ExtractAttributes(const Table& table, const std::string& column,
                                 const ExtractionOptions& options,
                                 ExtractionStats* stats) {
   MESA_SPAN("kg/extract");
-  MESA_ASSIGN_OR_RETURN(std::set<std::string> distinct,
+  MESA_ASSIGN_OR_RETURN(const std::vector<std::string> keys,
                         DistinctKeys(table, column));
-  const std::vector<std::string> keys(distinct.begin(), distinct.end());
 
   ExtractionStats local_stats;
   local_stats.values_total = keys.size();
@@ -369,9 +378,8 @@ Result<Table> ExtractAttributes(const Table& table, const std::string& column,
                                 const ExtractionOptions& options,
                                 ExtractionStats* stats) {
   MESA_SPAN("kg/extract");
-  MESA_ASSIGN_OR_RETURN(std::set<std::string> distinct,
+  MESA_ASSIGN_OR_RETURN(const std::vector<std::string> keys,
                         DistinctKeys(table, column));
-  const std::vector<std::string> keys(distinct.begin(), distinct.end());
 
   ExtractionStats local_stats;
   local_stats.values_total = keys.size();

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/file_io.h"
 #include "common/string_util.h"
 
 namespace mesa {
@@ -170,11 +171,8 @@ Status WriteKgFile(const TripleStore& store, const std::string& path) {
 }
 
 Result<TripleStore> ReadKgFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ReadKgString(buf.str());
+  MESA_ASSIGN_OR_RETURN(const std::string text, ReadFileToString(path));
+  return ReadKgString(text);
 }
 
 }  // namespace mesa

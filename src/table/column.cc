@@ -150,21 +150,13 @@ uint32_t Column::InternCode(std::string_view s) {
 }
 
 Column Column::FromDoubles(std::vector<double> values) {
-  Column c(DataType::kDouble);
-  c.doubles_ = std::move(values);
-  c.valid_.assign(c.doubles_.size(), 1);
-  c.size_ = c.doubles_.size();
-  c.SyncPointers();
-  return c;
+  const size_t n = values.size();
+  return FromDoubles(std::move(values), std::vector<uint8_t>(n, 1));
 }
 
 Column Column::FromInts(std::vector<int64_t> values) {
-  Column c(DataType::kInt64);
-  c.ints_ = std::move(values);
-  c.valid_.assign(c.ints_.size(), 1);
-  c.size_ = c.ints_.size();
-  c.SyncPointers();
-  return c;
+  const size_t n = values.size();
+  return FromInts(std::move(values), std::vector<uint8_t>(n, 1));
 }
 
 Column Column::FromStrings(std::vector<std::string> values) {
@@ -178,11 +170,54 @@ Column Column::FromStrings(std::vector<std::string> values) {
 }
 
 Column Column::FromBools(std::vector<uint8_t> values) {
+  const size_t n = values.size();
+  return FromBools(std::move(values), std::vector<uint8_t>(n, 1));
+}
+
+void Column::AdoptValidity(std::vector<uint8_t> valid) {
+  MESA_CHECK(valid.size() == size_);
+  valid_ = std::move(valid);
+  null_count_ = static_cast<size_t>(
+      std::count(valid_.begin(), valid_.end(), uint8_t{0}));
+  SyncPointers();
+}
+
+Column Column::FromDoubles(std::vector<double> values,
+                           std::vector<uint8_t> valid) {
+  Column c(DataType::kDouble);
+  c.doubles_ = std::move(values);
+  c.size_ = c.doubles_.size();
+  c.AdoptValidity(std::move(valid));
+  return c;
+}
+
+Column Column::FromInts(std::vector<int64_t> values,
+                        std::vector<uint8_t> valid) {
+  Column c(DataType::kInt64);
+  c.ints_ = std::move(values);
+  c.size_ = c.ints_.size();
+  c.AdoptValidity(std::move(valid));
+  return c;
+}
+
+Column Column::FromBools(std::vector<uint8_t> values,
+                         std::vector<uint8_t> valid) {
   Column c(DataType::kBool);
   c.bools_ = std::move(values);
-  c.valid_.assign(c.bools_.size(), 1);
   c.size_ = c.bools_.size();
-  c.SyncPointers();
+  c.AdoptValidity(std::move(valid));
+  return c;
+}
+
+Column Column::FromCodes(std::shared_ptr<StringDictionary> dict,
+                         std::vector<uint32_t> codes,
+                         std::vector<uint8_t> valid) {
+  MESA_CHECK(dict != nullptr);
+  Column c(DataType::kString);
+  c.dict_ = std::move(dict);
+  c.codes_ = std::move(codes);
+  c.size_ = c.codes_.size();
+  c.AdoptValidity(std::move(valid));
   return c;
 }
 

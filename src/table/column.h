@@ -56,6 +56,20 @@ class Column {
   static Column FromStrings(std::vector<std::string> values);
   static Column FromBools(std::vector<uint8_t> values);
 
+  /// Owned columns over already-filled runs (what a CSV load builds):
+  /// `valid` has one byte per row, 0 marking a null row, and a null row
+  /// must hold the default payload — 0, 0.0, false, or for a string
+  /// column the code of "" in `dict`. Every code must be < dict->size().
+  static Column FromDoubles(std::vector<double> values,
+                            std::vector<uint8_t> valid);
+  static Column FromInts(std::vector<int64_t> values,
+                         std::vector<uint8_t> valid);
+  static Column FromBools(std::vector<uint8_t> values,
+                          std::vector<uint8_t> valid);
+  static Column FromCodes(std::shared_ptr<StringDictionary> dict,
+                          std::vector<uint32_t> codes,
+                          std::vector<uint8_t> valid);
+
   /// Zero-copy factories: the column reads through `payload` / `valid`
   /// (length `n` each) without copying; `owner` keeps the backing memory
   /// alive for the column's lifetime (and the lifetime of its copies).
@@ -163,6 +177,10 @@ class Column {
   /// Points the read-through pointers at the owned vectors (owned mode
   /// only; borrowed pointers are set by the Borrow factories).
   void SyncPointers();
+
+  /// Installs an owned validity run of the column's length (set size_
+  /// first) and counts its nulls.
+  void AdoptValidity(std::vector<uint8_t> valid);
 
   /// Leaves a moved-from column empty and usable.
   void ResetMovedFrom();

@@ -1,8 +1,10 @@
 #ifndef MESA_TABLE_CSV_H_
 #define MESA_TABLE_CSV_H_
 
+#include <cstddef>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "table/table.h"
@@ -24,18 +26,29 @@ struct CsvReadOptions {
   std::map<std::string, DataType> declared_types;
 };
 
+/// Data records per parse morsel of ReadCsvString. A constant, never a
+/// function of the thread count: see ReadCsvString.
+inline constexpr size_t kCsvMorselRecords = 4096;
+
 /// Parses CSV text into a Table with per-column type inference:
 /// a column is int64 if every non-null cell parses as an integer, else
 /// double if every non-null cell parses as a number, else bool if every
-/// non-null cell is true/false, else string.
+/// non-null cell is true/false, else string. A string column's dictionary
+/// holds its distinct cells in first-appearance order, a null cell coding
+/// the empty string.
 ///
 /// Structural damage is never repaired silently: a record with the wrong
 /// field count (e.g. a truncated final row) and a quoted field left open
-/// at end of input both fail with InvalidArgument.
+/// at end of input both fail with InvalidArgument. With several errors,
+/// the first in file order is reported.
+///
+/// The parse runs morsel-parallel over runs of kCsvMorselRecords records
+/// and merges the morsels in file order, so the table (and any error) is
+/// the same at every thread count.
 Result<Table> ReadCsvString(const std::string& text,
                             const CsvReadOptions& options = {});
 
-/// Reads a CSV file from disk.
+/// Reads a CSV file from disk (IOError when it cannot be read whole).
 Result<Table> ReadCsvFile(const std::string& path,
                           const CsvReadOptions& options = {});
 

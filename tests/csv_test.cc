@@ -121,5 +121,14 @@ TEST(CsvFile, MissingFileIsIOError) {
             StatusCode::kIOError);
 }
 
+TEST(CsvFile, DirectoryIsIOError) {
+  // Reading a directory fails with EISDIR: an IOError naming the path,
+  // not "empty CSV input".
+  const Result<Table> t = ReadCsvFile(testing::TempDir());
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().code(), StatusCode::kIOError);
+  EXPECT_NE(t.status().message().find(testing::TempDir()), std::string::npos);
+}
+
 }  // namespace
 }  // namespace mesa

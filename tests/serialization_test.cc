@@ -104,6 +104,15 @@ TEST(KgSerialization, FileRoundTrip) {
   EXPECT_FALSE(ReadKgFile("/nonexistent/x.kg").ok());
 }
 
+TEST(KgSerialization, DirectoryIsIOError) {
+  // A directory opens fine on Linux; its read must fail loudly rather
+  // than parse as an empty KG.
+  const Result<TripleStore> kg = ReadKgFile(testing::TempDir());
+  ASSERT_FALSE(kg.ok());
+  EXPECT_EQ(kg.status().code(), StatusCode::kIOError);
+  EXPECT_NE(kg.status().message().find(testing::TempDir()), std::string::npos);
+}
+
 TEST(KgSerialization, CommentsAndBlankLinesIgnored) {
   auto kg = ReadKgString("# a comment\n\nE 0 T\tLabel\n# another\n");
   ASSERT_TRUE(kg.ok());
