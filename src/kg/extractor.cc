@@ -315,7 +315,7 @@ Result<AugmentResult> AugmentImpl(
         Table renamed,
         Table::Make(std::move(renamed_schema), std::move(renamed_cols)));
     MESA_ASSIGN_OR_RETURN(
-        out.table, HashJoin(out.table, column, renamed, column,
+        out.table, HashJoin(std::move(out.table), column, renamed, column,
                             {JoinType::kLeft, column + "."}));
     for (auto& name : final_names) {
       out.extracted_columns.push_back(std::move(name));

@@ -21,13 +21,19 @@ struct JoinOptions {
   std::string collision_prefix = "right_";
 };
 
-/// Hash equi-join of `left` and `right` on left_key == right_key. Null keys
-/// never match. If a right key occurs on multiple rows, the first occurrence
-/// wins and a warning is logged (KG extraction produces unique entities per
-/// key; duplicates indicate a linking problem, and one-row-per-entity keeps
-/// the statistical machinery honest — duplicating base rows would bias every
-/// estimator downstream).
-Result<Table> HashJoin(const Table& left, const std::string& left_key,
+/// Equi-join of `left` and `right` on left_key == right_key. Both keys must
+/// be string columns (InvalidArgument otherwise); the join runs on their
+/// dictionary codes. Null keys never match. If a right key occurs on
+/// multiple rows, the first occurrence wins and a warning is logged (KG
+/// extraction produces unique entities per key; duplicates indicate a
+/// linking problem, and one-row-per-entity keeps the statistical machinery
+/// honest — duplicating base rows would bias every estimator downstream).
+///
+/// `left` is taken by value: a left join returns its columns as they are
+/// (moved, never copied — snapshot-borrowed columns stay borrowed) with the
+/// right columns appended. Pass `std::move(table)` when the input is not
+/// needed afterwards.
+Result<Table> HashJoin(Table left, const std::string& left_key,
                        const Table& right, const std::string& right_key,
                        const JoinOptions& options = {});
 

@@ -1,7 +1,6 @@
 #include "table/column.h"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "common/cancel.h"
 #include "common/logging.h"
@@ -498,67 +497,78 @@ namespace {
 // below one morsel runs on the calling thread.
 constexpr size_t kTakeChunkRows = 4096;
 
+// Runs body(lo, hi) over [0, n) in morsels of kTakeChunkRows, in parallel.
+template <typename Body>
+void ForEachTakeChunk(size_t n, const Body& body) {
+  const size_t num_chunks = (n + kTakeChunkRows - 1) / kTakeChunkRows;
+  ParallelFor(0, num_chunks, [&](size_t c) {
+    CancelCheckpoint();
+    const size_t lo = c * kTakeChunkRows;
+    body(lo, std::min(n, lo + kTakeChunkRows));
+  });
+}
+
+// Bools read as 0/1 whatever byte the source holds; other payloads as is.
+uint8_t LoadPayload(uint8_t v) { return static_cast<uint8_t>(v != 0); }
+template <typename T>
+T LoadPayload(T v) {
+  return v;
+}
+
+// The gather loops take their pointers as parameters so they stay in
+// registers: the uint8_t validity stores may alias any memory a lambda
+// capture lives in.
+template <typename T>
+void GatherRows(const size_t* index, [[maybe_unused]] size_t src_rows,
+                const uint8_t* src_valid, const T* src, T null_value, T* dst,
+                uint8_t* valid, size_t lo, size_t hi) {
+  for (size_t i = lo; i < hi; ++i) {
+    const size_t idx = index[i];
+    MESA_DCHECK(idx < src_rows);
+    const bool live = src_valid[idx] != 0;
+    valid[i] = live ? 1 : 0;
+    dst[i] = live ? LoadPayload(src[idx]) : null_value;
+  }
+}
+
+// Output row i copies cell slot[i]: one lookup, no branch.
+template <typename T>
+void ExpandCells(const uint32_t* slot, [[maybe_unused]] size_t num_cells,
+                 const T* cell, const uint8_t* cell_live, T* dst,
+                 uint8_t* valid, size_t lo, size_t hi) {
+  for (size_t i = lo; i < hi; ++i) {
+    MESA_DCHECK(slot[i] < num_cells);
+    dst[i] = cell[slot[i]];
+    valid[i] = cell_live[slot[i]];
+  }
+}
+
 }  // namespace
 
-template <typename Index>
-Column Column::Gather(const std::vector<Index>& rows) const {
-  const size_t n = rows.size();
+template <typename Fill>
+Column Column::GatherWith(size_t n, uint32_t empty_code,
+                          const Fill& fill) const {
   Column out(type_);
   out.size_ = n;
   out.valid_.resize(n);
-  // A string row that gathers a null takes the empty string's code (the
-  // source's own null rows already hold it).
-  uint32_t empty_code = 0;
-  if (type_ == DataType::kString) {
-    out.dict_ = dict_;
-    bool unmatched = false;
-    if constexpr (std::is_signed_v<Index>) {
-      unmatched = std::any_of(rows.begin(), rows.end(),
-                              [](Index r) { return r < 0; });
-    }
-    if (null_count_ > 0 || unmatched) empty_code = out.InternCode("");
-  }
+  if (type_ == DataType::kString) out.dict_ = dict_;
   uint8_t* valid = out.valid_.data();
-  auto same = [](auto v) { return v; };
-  auto gather = [&](auto* dst, const auto* src, auto null_value, auto load) {
-    auto chunk = [&, dst, src, null_value, load](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        const Index idx = rows[i];
-        bool live;
-        if constexpr (std::is_signed_v<Index>) {
-          live = idx >= 0 && valid_ptr_[static_cast<size_t>(idx)] != 0;
-        } else {
-          MESA_DCHECK(idx < size_);
-          live = valid_ptr_[idx] != 0;
-        }
-        valid[i] = live ? 1 : 0;
-        dst[i] = live ? load(src[static_cast<size_t>(idx)]) : null_value;
-      }
-    };
-    const size_t num_chunks = (n + kTakeChunkRows - 1) / kTakeChunkRows;
-    ParallelFor(0, num_chunks, [&](size_t c) {
-      CancelCheckpoint();
-      const size_t lo = c * kTakeChunkRows;
-      chunk(lo, std::min(n, lo + kTakeChunkRows));
-    });
-  };
   switch (type_) {
     case DataType::kDouble:
       out.doubles_.resize(n);
-      gather(out.doubles_.data(), double_ptr_, 0.0, same);
+      fill(out.doubles_.data(), double_ptr_, 0.0, valid);
       break;
     case DataType::kInt64:
       out.ints_.resize(n);
-      gather(out.ints_.data(), int_ptr_, int64_t{0}, same);
+      fill(out.ints_.data(), int_ptr_, int64_t{0}, valid);
       break;
     case DataType::kString:
       out.codes_.resize(n);
-      gather(out.codes_.data(), codes_ptr_, empty_code, same);
+      fill(out.codes_.data(), codes_ptr_, empty_code, valid);
       break;
     case DataType::kBool:
       out.bools_.resize(n);
-      gather(out.bools_.data(), bool_ptr_, uint8_t{0},
-             [](uint8_t v) { return static_cast<uint8_t>(v != 0); });
+      fill(out.bools_.data(), bool_ptr_, uint8_t{0}, valid);
       break;
     case DataType::kNull:
       break;
@@ -570,11 +580,57 @@ Column Column::Gather(const std::vector<Index>& rows) const {
 }
 
 Column Column::Take(const std::vector<size_t>& rows) const {
-  return Gather(rows);
+  // A null row keeps the empty string's code, which the source's own null
+  // rows already hold.
+  const uint32_t empty_code =
+      type_ == DataType::kString && null_count_ > 0 ? dict_->Find("") : 0;
+  return GatherWith(rows.size(), empty_code, [&](auto* dst, const auto* src,
+                                                 auto null_value,
+                                                 uint8_t* valid) {
+    ForEachTakeChunk(rows.size(), [&](size_t lo, size_t hi) {
+      GatherRows(rows.data(), size_, valid_ptr_, src, null_value, dst, valid,
+                 lo, hi);
+    });
+  });
 }
 
-Column Column::TakeOrNull(const std::vector<int64_t>& rows) const {
-  return Gather(rows);
+Column Column::TakeOrNull(const std::vector<int64_t>& rows,
+                          const std::vector<uint32_t>& slots) const {
+  // The cell table: entry s holds row rows[s], or a null cell.
+  std::vector<uint8_t> live(rows.size());
+  for (size_t s = 0; s < rows.size(); ++s) {
+    live[s] = rows[s] >= 0 && valid_ptr_[static_cast<size_t>(rows[s])] != 0;
+  }
+  // A null cell codes "". A dictionary without "" has no null rows, and
+  // "" gets the next code if an output row turns out null (below).
+  uint32_t empty_code = 0;
+  if (type_ == DataType::kString) {
+    empty_code = dict_->Find("");
+    if (empty_code == StringDictionary::kNotFound) {
+      empty_code = static_cast<uint32_t>(dict_->size());
+    }
+  }
+  Column out = GatherWith(slots.size(), empty_code, [&](auto* dst,
+                                                        const auto* src,
+                                                        auto null_value,
+                                                        uint8_t* valid) {
+    std::vector<decltype(null_value)> cells(rows.size());
+    for (size_t s = 0; s < rows.size(); ++s) {
+      cells[s] = live[s] ? LoadPayload(src[static_cast<size_t>(rows[s])])
+                         : null_value;
+    }
+    ForEachTakeChunk(slots.size(), [&](size_t lo, size_t hi) {
+      ExpandCells(slots.data(), cells.size(), cells.data(), live.data(), dst,
+                  valid, lo, hi);
+    });
+  });
+  if (type_ == DataType::kString && out.null_count_ > 0 &&
+      empty_code == dict_->size()) {
+    const uint32_t code = out.InternCode("");
+    MESA_DCHECK(code == empty_code);
+    (void)code;
+  }
+  return out;
 }
 
 }  // namespace mesa

@@ -149,9 +149,15 @@ class Column {
   /// its own slice of the output — byte-identical at any thread count.
   Column Take(const std::vector<size_t>& rows) const;
 
-  /// As Take, but a negative index yields a null row (a join's unmatched
-  /// side).
-  Column TakeOrNull(const std::vector<int64_t>& rows) const;
+  /// A join's right-side gather through a two-level index: output row i is
+  /// row `rows[slots[i]]`, or null where that entry is negative (an
+  /// unmatched row). Each entry of `rows` is read once into a table of
+  /// cells; each output row then costs one lookup in it, with no branch.
+  /// Null rows get the default payload; a string column shares the
+  /// dictionary, adding "" to a private copy only when a null row needs a
+  /// code the dictionary lacks. Morsel-parallel like Take.
+  Column TakeOrNull(const std::vector<int64_t>& rows,
+                    const std::vector<uint32_t>& slots) const;
 
   /// Stable 64-bit hash of the column's content: type, length, validity
   /// bitmap, and payload. Columns with equal fingerprints are treated as
@@ -194,9 +200,12 @@ class Column {
   /// if the dictionary is shared) when absent.
   uint32_t InternCode(std::string_view s);
 
-  /// Shared gather behind Take / TakeOrNull.
-  template <typename Index>
-  Column Gather(const std::vector<Index>& rows) const;
+  /// Shared body of Take / TakeOrNull: an owned column of `n` rows of this
+  /// type (a string column shares the dictionary) whose payload and
+  /// validity `fill(dst, src, null_value, valid)` writes; `null_value` is
+  /// `empty_code` for strings and the default payload otherwise.
+  template <typename Fill>
+  Column GatherWith(size_t n, uint32_t empty_code, const Fill& fill) const;
 
   DataType type_;
   size_t size_ = 0;

@@ -158,6 +158,17 @@ void ExpectJoinMatchesReference(const Table& joined, const Table& left,
       ++out_col;
     }
   }
+  // Storage, not just values: every output column fingerprints like one
+  // appended cell by cell (null rows hold the default payload and code "").
+  for (size_t c = 0; c < joined.num_columns(); ++c) {
+    const Column& got = joined.column(c);
+    Column want(got.type());
+    for (size_t r = 0; r < got.size(); ++r) {
+      ASSERT_TRUE(want.Append(got.GetValue(r)).ok()) << what;
+    }
+    ASSERT_EQ(want.ContentFingerprint(), got.ContentFingerprint())
+        << what << " col " << joined.schema().field(c).name;
+  }
 }
 
 // Right side: one row per key plus deliberate duplicates and null keys.
@@ -214,6 +225,125 @@ TEST(QueryParallel, HashJoinBitIdenticalAcrossThreadCounts) {
           first = std::make_unique<Table>(std::move(*joined));
         } else {
           ExpectTablesEqual(*first, *joined, what);
+        }
+      }
+    }
+  }
+}
+
+// Builds a table from named columns.
+Table MakeTable(std::vector<std::pair<std::string, Column>> columns) {
+  Schema schema;
+  std::vector<Column> cols;
+  for (auto& [name, column] : columns) {
+    EXPECT_TRUE(schema.AddField({name, column.type()}).ok());
+    cols.push_back(std::move(column));
+  }
+  auto t = Table::Make(std::move(schema), std::move(cols));
+  EXPECT_TRUE(t.ok()) << t.status().ToString();
+  return std::move(*t);
+}
+
+// The join resolves dictionary entries, not rows, so the inputs here aim
+// at the dictionary: left entries no row uses (a taken column keeps its
+// source's dictionary) and entries absent on the right; a non-null ""
+// key on both sides next to null rows, which code "" too; an all-null
+// left key; duplicate and null right keys; and right payloads of every
+// type, including a string column whose dictionary lacks "" until an
+// unmatched row needs it. Both sides of the one-lane threshold.
+TEST(QueryParallel, HashJoinDictionaryEdgeCasesMatchReference) {
+  PoolGuard guard;
+  for (size_t rows : {size_t{700}, size_t{9000}}) {
+    Rng rng(rows);
+    // Left: 40 key values, of which only the even ones survive the take;
+    // "" and null rows sit among them.
+    Column source_key(DataType::kString);
+    for (int k = 0; k < 40; ++k) source_key.AppendString("e_" + std::to_string(k));
+    source_key.AppendString("");
+    source_key.AppendNull();
+    std::vector<size_t> picks;
+    for (size_t r = 0; r < rows; ++r) {
+      const uint64_t u = rng.NextBelow(24);
+      picks.push_back(u < 20 ? 2 * u : (u < 22 ? 40 : 41));
+    }
+    Column key = source_key.Take(picks);
+    Column all_null(DataType::kString);
+    Column x(DataType::kDouble);
+    for (size_t r = 0; r < rows; ++r) {
+      all_null.AppendNull();
+      x.AppendDouble(rng.NextGaussian());
+    }
+    std::vector<std::pair<std::string, Column>> left_cols;
+    left_cols.emplace_back("k", std::move(key));
+    left_cols.emplace_back("none", std::move(all_null));
+    left_cols.emplace_back("x", std::move(x));
+    const Table left = MakeTable(std::move(left_cols));
+
+    // Right: every fourth even entry, some odd entries the left never
+    // uses, "" (non-null), then duplicates and null keys.
+    Column rkey(DataType::kString);
+    Column d(DataType::kDouble);
+    Column i(DataType::kInt64);
+    Column b(DataType::kBool);
+    Column label(DataType::kString);    // never null, never ""
+    Column sparse(DataType::kString);   // nulls, so "" is in its dictionary
+    auto add = [&](const std::string* k, int v) {
+      if (k == nullptr) {
+        rkey.AppendNull();
+      } else {
+        rkey.AppendString(*k);
+      }
+      d.AppendDouble(v * 0.5);
+      i.AppendInt(v);
+      if (v % 5 == 0) {
+        b.AppendNull();
+        sparse.AppendNull();
+      } else {
+        b.AppendBool(v % 2 == 0);
+        sparse.AppendString("s_" + std::to_string(v % 3));
+      }
+      label.AppendString("l_" + std::to_string(v));
+    };
+    int v = 1;
+    for (int k = 0; k < 40; k += 4) {
+      const std::string name = "e_" + std::to_string(k);
+      add(&name, v++);
+    }
+    for (int k = 1; k < 40; k += 6) {
+      const std::string name = "e_" + std::to_string(k);
+      add(&name, v++);
+    }
+    const std::string empty;
+    add(&empty, v++);
+    add(nullptr, v++);
+    for (int k = 0; k < 40; k += 8) {  // duplicates: the first row wins
+      const std::string name = "e_" + std::to_string(k);
+      add(&name, v++);
+    }
+    add(&empty, v++);
+    add(nullptr, v++);
+    std::vector<std::pair<std::string, Column>> right_cols;
+    right_cols.emplace_back("k", std::move(rkey));
+    right_cols.emplace_back("d", std::move(d));
+    right_cols.emplace_back("i", std::move(i));
+    right_cols.emplace_back("b", std::move(b));
+    right_cols.emplace_back("label", std::move(label));
+    right_cols.emplace_back("sparse", std::move(sparse));
+    const Table right = MakeTable(std::move(right_cols));
+
+    for (const std::string left_key : {"k", "none"}) {
+      for (JoinType type : {JoinType::kLeft, JoinType::kInner}) {
+        JoinOptions options;
+        options.type = type;
+        for (size_t threads : kThreadCounts) {
+          SetNumThreads(threads);
+          auto joined = HashJoin(left, left_key, right, "k", options);
+          ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+          ExpectJoinMatchesReference(
+              *joined, left, left_key, right, "k", type,
+              "rows " + std::to_string(rows) + " key " + left_key +
+                  " threads " + std::to_string(threads) +
+                  (type == JoinType::kLeft ? " left" : " inner"));
         }
       }
     }

@@ -373,6 +373,48 @@ TEST(HashJoin, DuplicateRightKeysFirstWins) {
   EXPECT_EQ(j->GetCell(0, "v")->int_value(), 1);
 }
 
+TEST(HashJoin, EmptyStringKeyMatchesButNullKeyNever) {
+  // Null rows code "" internally; only the non-null "" may match.
+  Table left = *Table::Make(Schema({{"k", DataType::kString}}),
+                            {Column::FromStrings({"", "a", ""})});
+  left.mutable_column(0).SetNull(2);
+  Table right = *Table::Make(
+      Schema({{"k", DataType::kString}, {"v", DataType::kInt64}}),
+      {Column::FromStrings({"a", "", ""}), Column::FromInts({1, 2, 3})});
+  right.mutable_column(0).SetNull(1);
+  auto j = HashJoin(left, "k", right, "k");
+  ASSERT_TRUE(j.ok()) << j.status().ToString();
+  ASSERT_EQ(j->num_rows(), 3u);
+  EXPECT_EQ(j->GetCell(0, "v")->int_value(), 3);  // "" meets the non-null ""
+  EXPECT_EQ(j->GetCell(1, "v")->int_value(), 1);
+  EXPECT_TRUE(j->GetCell(2, "v")->is_null());     // null meets nothing
+  JoinOptions inner;
+  inner.type = JoinType::kInner;
+  auto i = HashJoin(left, "k", right, "k", inner);
+  ASSERT_TRUE(i.ok());
+  EXPECT_EQ(i->num_rows(), 2u);
+}
+
+TEST(HashJoin, LeftColumnsAreMovedNotCopied) {
+  Table left = People();
+  const int64_t* ages = (*left.ColumnByName("age"))->int_data();
+  Table right = *ReadCsvString("code,gdp\nDE,3.8\n");
+  auto j = HashJoin(std::move(left), "country", right, "code");
+  ASSERT_TRUE(j.ok());
+  EXPECT_EQ((*j->ColumnByName("age"))->int_data(), ages);
+}
+
+TEST(HashJoin, NonStringKeyIsInvalidArgument) {
+  Table left = *ReadCsvString("k,x\n1,a\n2,b\n");
+  Table right = *ReadCsvString("k,v\n1,3.5\n");
+  auto j = HashJoin(left, "k", right, "k");
+  ASSERT_FALSE(j.ok());
+  EXPECT_EQ(j.status().code(), StatusCode::kInvalidArgument);
+  Table strings = *ReadCsvString("k,v\nx,3.5\n");
+  EXPECT_EQ(HashJoin(strings, "k", right, "k").status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 // -------------------------------------------------------------- QuerySpec
 
 TEST(QuerySpec, ValidationFailures) {

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,6 +27,8 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/retry.h"
+#include "core/mesa.h"
+#include "core/report_format.h"
 #include "datagen/registry.h"
 #include "kg/serialization.h"
 #include "missing/imputation.h"
@@ -360,7 +363,8 @@ TEST(StringColumnContract, FingerprintIsContentOnlyAcrossStorageForms) {
   std::vector<size_t> all = {0, 1, 2, 3, 4, 5};
   EXPECT_EQ(want, built.Take(all).ContentFingerprint());
   EXPECT_EQ(want, borrowed.Take(all).ContentFingerprint());
-  EXPECT_EQ(want, built.TakeOrNull({0, 1, 2, 3, 4, 5}).ContentFingerprint());
+  EXPECT_EQ(want, built.TakeOrNull({0, 1, 2, 3, 4, 5}, {0, 1, 2, 3, 4, 5})
+                      .ContentFingerprint());
 
   // Per-row appends build yet another dictionary order.
   Column appended(DataType::kString);
@@ -374,7 +378,7 @@ TEST(StringColumnContract, FingerprintIsContentOnlyAcrossStorageForms) {
       StringFingerprintByDefinition({"Paris", nullptr, "Berlin"});
   const Column no_nulls = Column::FromStrings({"Berlin", "Paris"});
   EXPECT_EQ(with_unmatched,
-            no_nulls.TakeOrNull({1, -1, 0}).ContentFingerprint());
+            no_nulls.TakeOrNull({1, -1, 0}, {0, 1, 2}).ContentFingerprint());
 }
 
 TEST(StringColumnContract, CsvLoadedSnapshotBytesAreUnchanged) {
@@ -658,6 +662,147 @@ TEST_F(SnapshotHostileTest, MissingFileIsCleanError) {
   auto reader = SnapshotReader::Open("/nonexistent/path/to.msnap");
   ASSERT_FALSE(reader.ok());
   EXPECT_EQ(StatusCode::kIOError, reader.status().code());
+}
+
+// ---------------------------------------------------------------------------
+// Zero copy through preprocessing: attaching the KG attributes to a
+// snapshot-loaded base table leaves every base column borrowed from the
+// mapping, and the report matches the CSV-loaded dataset's byte for byte.
+
+TEST(SnapshotZeroCopy, PreprocessKeepsBaseColumnsBorrowed) {
+  GenOptions gen;
+  gen.rows = 1500;
+  auto dataset = MakeDataset(DatasetKind::kCovid, gen);
+  ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+  auto image = std::make_shared<AlignedImage>(MustSerialize(
+      dataset->table, dataset->kg.get(), dataset->extraction_columns));
+  auto reader = OpenImage(image);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  auto table = reader->ReadTable();
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  auto kg = reader->ReadKg();
+  ASSERT_TRUE(kg.ok()) << kg.status().ToString();
+  const size_t base_columns = table->num_columns();
+
+  Mesa snap(std::move(*table), kg->get(), dataset->extraction_columns);
+  ASSERT_TRUE(snap.Preprocess().ok());
+  auto augmented = snap.augmented_table();
+  ASSERT_TRUE(augmented.ok());
+  ASSERT_GT((*augmented)->num_columns(), base_columns);
+  for (size_t c = 0; c < base_columns; ++c) {
+    EXPECT_TRUE((*augmented)->column(c).is_borrowed())
+        << (*augmented)->schema().field(c).name;
+  }
+
+  auto csv_table = ReadCsvString(WriteCsvString(dataset->table));
+  ASSERT_TRUE(csv_table.ok()) << csv_table.status().ToString();
+  Mesa csv(std::move(*csv_table), dataset->kg.get(),
+           dataset->extraction_columns);
+  const std::string sql =
+      "SELECT Country, avg(Deaths_per_100_cases) FROM covid GROUP BY Country";
+  auto snap_report = snap.ExplainSql(sql);
+  auto csv_report = csv.ExplainSql(sql);
+  ASSERT_TRUE(snap_report.ok()) << snap_report.status().ToString();
+  ASSERT_TRUE(csv_report.ok()) << csv_report.status().ToString();
+  EXPECT_EQ(FormatReport(*csv_report), FormatReport(*snap_report));
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32C: the RFC 3720 §B.4 vectors on every path, and the hardware path
+// against the table path (the one other CPUs run) byte for byte.
+
+using CrcFn = uint32_t (*)(uint32_t, const void*, size_t);
+
+std::vector<std::pair<std::string, CrcFn>> CrcPaths() {
+  std::vector<std::pair<std::string, CrcFn>> paths = {
+      {"table", &Crc32cExtendTable}, {"dispatched", &Crc32cExtend}};
+#if defined(__x86_64__)
+  if (Crc32cHardwareSupported()) {
+    paths.emplace_back("hardware", &Crc32cExtendHardware);
+  }
+#endif
+  return paths;
+}
+
+std::vector<uint8_t> SeededBytes(uint64_t seed, size_t n) {
+  Rng rng(seed);
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.NextBelow(256));
+  return bytes;
+}
+
+// The hardware path exists on x86-64 builds and runs where the CPU has
+// SSE4.2; elsewhere these cases skip and say why.
+#if defined(__x86_64__)
+#define MESA_REQUIRE_HARDWARE_CRC()                                       \
+  if (!Crc32cHardwareSupported()) {                                       \
+    GTEST_SKIP() << "CPU lacks SSE4.2: hardware CRC-32C path not tested"; \
+  }
+#else
+#define MESA_REQUIRE_HARDWARE_CRC() \
+  GTEST_SKIP() << "not an x86-64 build: no hardware CRC-32C path"
+#endif
+
+TEST(Crc32cOracle, Rfc3720Vectors) {
+  const std::vector<uint8_t> zeros(32, 0x00);
+  const std::vector<uint8_t> ones(32, 0xFF);
+  const std::string digits = "123456789";
+  for (const auto& [name, crc] : CrcPaths()) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(0x8A9136AAu, crc(0, zeros.data(), zeros.size()));
+    EXPECT_EQ(0x62A8AB43u, crc(0, ones.data(), ones.size()));
+    EXPECT_EQ(0xE3069283u, crc(0, digits.data(), digits.size()));
+  }
+  EXPECT_EQ(0xE3069283u, Crc32c(digits.data(), digits.size()));
+}
+
+TEST(Crc32cOracle, HardwareMatchesTableAtEveryLengthAndOffset) {
+  MESA_REQUIRE_HARDWARE_CRC();
+#if defined(__x86_64__)
+  const std::vector<uint8_t> bytes = SeededBytes(0xC3C, 257 + 8);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 257; ++len) {
+      const uint8_t* p = bytes.data() + offset;
+      for (uint32_t seed : {0u, 0xDEADBEEFu}) {
+        ASSERT_EQ(Crc32cExtendTable(seed, p, len),
+                  Crc32cExtendHardware(seed, p, len))
+            << "offset " << offset << " len " << len << " seed " << seed;
+      }
+    }
+  }
+#endif
+}
+
+TEST(Crc32cOracle, HardwareMatchesTableOnMultiMegabyteBuffer) {
+  MESA_REQUIRE_HARDWARE_CRC();
+#if defined(__x86_64__)
+  const std::vector<uint8_t> bytes = SeededBytes(0x5EED, (3 << 20) + 5);
+  EXPECT_EQ(Crc32cExtendTable(0, bytes.data(), bytes.size()),
+            Crc32cExtendHardware(0, bytes.data(), bytes.size()));
+  EXPECT_EQ(Crc32cExtendTable(0, bytes.data() + 3, bytes.size() - 3),
+            Crc32c(bytes.data() + 3, bytes.size() - 3));
+#endif
+}
+
+TEST(Crc32cOracle, ExtendChainsAcrossSplitPoints) {
+  const std::vector<uint8_t> bytes = SeededBytes(0xA5A5, 4099);
+  const uint32_t whole = Crc32cExtendTable(0, bytes.data(), bytes.size());
+  const auto paths = CrcPaths();
+  for (size_t split : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                       size_t{63}, size_t{64}, size_t{1001}, size_t{4096},
+                       bytes.size()}) {
+    // Every pair of paths: the state one path leaves is the state the
+    // other continues from.
+    for (const auto& [first_name, first] : paths) {
+      for (const auto& [second_name, second] : paths) {
+        const uint32_t head = first(0, bytes.data(), split);
+        EXPECT_EQ(whole, second(head, bytes.data() + split,
+                                bytes.size() - split))
+            << "split " << split << ": " << first_name << " then "
+            << second_name;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
